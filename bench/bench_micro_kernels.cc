@@ -90,12 +90,12 @@ void BM_VecExpSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_VecExpSimd);
 
-void BM_Entmax(benchmark::State& state) {
+void RunEntmax(benchmark::State& state, float score_std) {
   const float alpha = static_cast<float>(state.range(0)) / 10.0f;
   const int64_t rows = 4096;
   const int64_t d = state.range(1);
   Rng rng(3);
-  Tensor z = Tensor::Normal(Shape({rows, d}), 0, 1, rng);
+  Tensor z = Tensor::Normal(Shape({rows, d}), 0, score_std, rng);
   for (auto _ : state) {
     Tensor p = ag::EntmaxLastDimValue(z, alpha);
     benchmark::DoNotOptimize(p.data());
@@ -104,14 +104,24 @@ void BM_Entmax(benchmark::State& state) {
   state.SetLabel(alpha == 1.0f   ? "softmax"
                  : alpha == 2.0f ? "sparsemax-exact"
                  : alpha == 1.5f ? "entmax15-exact"
-                                 : "bisection");
+                                 : "safeguarded-newton");
 }
+
+// N(0, 1) rows: at α = 1.7 and d = 10 they keep only 1–5 entries.
+void BM_Entmax(benchmark::State& state) { RunEntmax(state, 1.0f); }
 BENCHMARK(BM_Entmax)
     ->Args({10, 10})
     ->Args({15, 10})
     ->Args({17, 10})
     ->Args({20, 10})
     ->Args({17, 43});
+
+// The gate at ARM-Net's own score spread. N(0, 0.1) rows keep all 10
+// entries at d = 10 and ~31 of 39 at d = 39; ArmModule's scores on the
+// Frappe and Criteo presets keep 10 of 10 and ~37 of 39. Full supports are
+// the general-α solver's costliest rows.
+void BM_EntmaxArmSpread(benchmark::State& state) { RunEntmax(state, 0.1f); }
+BENCHMARK(BM_EntmaxArmSpread)->Args({17, 10})->Args({17, 39});
 
 // Forward gather throughput over a large table — the loop whose per-id
 // row-range CHECK was hoisted into tmath::CheckRowIds's single pre-scan

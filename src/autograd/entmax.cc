@@ -1,9 +1,10 @@
 #include "autograd/entmax.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "autograd/trace_hook.h"
 #include "tensor/entmax.h"
+#include "tensor/kernels.h"
 #include "util/profiler.h"
 
 namespace armnet::ag {
@@ -38,29 +39,23 @@ Variable Entmax(const Variable& z, float alpha) {
         const int64_t d = p.dim(-1);
         const int64_t rows = p.numel() / d;
         Tensor dz(p.shape());
-        const float* pp = p.data();
         const float* pg = g.data();
         float* pd = dz.data();
-        const float exponent = 2.0f - alpha;
+        // s_i = p_i^{2−α} on the support, 0 off it; softmax (α=1) gives
+        // s = p. Stash s in dz.
+        if (alpha == 1.0f) {
+          std::copy(p.data(), p.data() + p.numel(), pd);
+        } else {
+          kernels::VecSupportPow(p.data(), 2.0f - alpha, pd, p.numel());
+        }
         for (int64_t r = 0; r < rows; ++r) {
-          const float* prow = pp + r * d;
           const float* grow = pg + r * d;
           float* drow = pd + r * d;
-          // s_i = p_i^{2−α} on the support; softmax (α=1) gives s = p.
           double s_dot_g = 0;
           double s_sum = 0;
           for (int64_t j = 0; j < d; ++j) {
-            float s = 0;
-            if (prow[j] > 0) {
-              s = alpha == 1.0f
-                      ? prow[j]
-                      : (exponent == 0.0f
-                             ? 1.0f
-                             : std::exp(exponent * std::log(prow[j])));
-            }
-            drow[j] = s;  // stash s temporarily
-            s_dot_g += static_cast<double>(s) * grow[j];
-            s_sum += s;
+            s_dot_g += static_cast<double>(drow[j]) * grow[j];
+            s_sum += drow[j];
           }
           const float correction =
               alpha == 1.0f ? static_cast<float>(s_dot_g)

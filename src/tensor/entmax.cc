@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace armnet::tmath {
@@ -67,78 +68,13 @@ void Entmax15Row(const float* z, float* p, int64_t d) {
     total += pj;
   }
   // Guard against floating-point drift: renormalize.
-  ARMNET_CHECK_GT(total, 0);
   const float inv = static_cast<float>(1.0 / total);
   for (int64_t j = 0; j < d; ++j) p[j] *= inv;
 }
 
-// x^p for x > 0 via expf/logf. std::pow promotes to double pow, which
-// dominated ARM-Net training time before this fast path (the bisection
-// below evaluates it d times per iteration per attention row).
-inline float FastPow(float x, float p) { return std::exp(p * std::log(x)); }
-
-// General α > 1 entmax on one row via bisection over τ (Peters & Martins
-// 2019, Algorithm 1): p_i(τ) = [(α−1)z_i − τ]_+^{1/(α−1)}, Σp decreasing
-// in τ, root bracketed by [max((α−1)z) − 1, max((α−1)z)]. 30 halvings
-// narrow the bracket below 1e-9, past float32 resolution; a final
-// renormalization absorbs the residual.
-void EntmaxBisectRow(const float* z, float* p, int64_t d, float alpha) {
-  const float am1 = alpha - 1.0f;
-  const float inv_am1 = 1.0f / am1;
-  float z_max = -std::numeric_limits<float>::infinity();
-  for (int64_t j = 0; j < d; ++j) {
-    p[j] = am1 * z[j];  // stash scaled scores in the output buffer
-    z_max = std::max(z_max, p[j]);
-  }
-  float lo = z_max - 1.0f;
-  float hi = z_max;
-
-  // Only scores above the lower bracket can ever enter the support; the
-  // active set shrinks as `lo` rises, which keeps the inner loop short on
-  // wide rows (m up to 43 in the benchmark schemas).
-  constexpr int kStackCap = 64;
-  float stack_buffer[kStackCap];
-  std::vector<float> heap_buffer;
-  float* active = stack_buffer;
-  if (d > kStackCap) {
-    heap_buffer.resize(static_cast<size_t>(d));
-    active = heap_buffer.data();
-  }
-  int num_active = 0;
-  for (int64_t j = 0; j < d; ++j) {
-    if (p[j] > lo) active[num_active++] = p[j];
-  }
-
-  for (int iteration = 0; iteration < 24; ++iteration) {
-    const float mid = 0.5f * (lo + hi);
-    float total = 0;
-    for (int a = 0; a < num_active; ++a) {
-      const float v = active[a] - mid;
-      if (v > 0) total += FastPow(v, inv_am1);
-    }
-    if (total < 1.0f) {
-      hi = mid;
-    } else {
-      lo = mid;
-      int kept = 0;
-      for (int a = 0; a < num_active; ++a) {
-        if (active[a] > lo) active[kept++] = active[a];
-      }
-      num_active = kept;
-    }
-  }
-  const float tau = 0.5f * (lo + hi);
-  float total = 0;
-  for (int64_t j = 0; j < d; ++j) {
-    const float v = p[j] - tau;
-    p[j] = v > 0 ? FastPow(v, inv_am1) : 0.0f;
-    total += p[j];
-  }
-  ARMNET_CHECK_GT(total, 0);
-  const float inv = 1.0f / total;
-  for (int64_t j = 0; j < d; ++j) p[j] *= inv;
-}
-
+// Runs a sort-based row solver on every row. A row holding a NaN or ±Inf
+// becomes an all-NaN row without reaching the solver: NaN breaks std::sort's
+// strict weak ordering, which is undefined behaviour.
 template <typename RowFn>
 void ApplyRowsOut(const Tensor& z, Tensor& out, RowFn row_fn) {
   ARMNET_CHECK_GE(z.rank(), 1);
@@ -147,7 +83,13 @@ void ApplyRowsOut(const Tensor& z, Tensor& out, RowFn row_fn) {
   ARMNET_CHECK_GT(d, 0);
   const int64_t rows = z.numel() / d;
   for (int64_t r = 0; r < rows; ++r) {
-    row_fn(z.data() + r * d, out.data() + r * d, d);
+    const float* zr = z.data() + r * d;
+    float* pr = out.data() + r * d;
+    if (std::all_of(zr, zr + d, [](float v) { return std::isfinite(v); })) {
+      row_fn(zr, pr, d);
+    } else {
+      std::fill(pr, pr + d, std::numeric_limits<float>::quiet_NaN());
+    }
   }
 }
 
@@ -180,9 +122,11 @@ void EntmaxLastDimOut(const Tensor& z, float alpha, Tensor& out) {
     ApplyRowsOut(z, out, Entmax15Row);
     return;
   }
-  ApplyRowsOut(z, out, [alpha](const float* zr, float* pr, int64_t d) {
-    EntmaxBisectRow(zr, pr, d, alpha);
-  });
+  ARMNET_CHECK_GE(z.rank(), 1);
+  ARMNET_DCHECK(z.shape() == out.shape());
+  const int64_t d = z.dim(-1);
+  ARMNET_CHECK_GT(d, 0);
+  kernels::EntmaxRows(z.data(), out.data(), z.numel() / d, d, alpha);
 }
 
 Tensor EntmaxLastDim(const Tensor& z, float alpha) {

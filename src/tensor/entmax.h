@@ -11,7 +11,12 @@
 //   * α = 1: closed-form softmax,
 //   * α = 2: exact sort-based sparsemax (Martins & Astudillo 2016),
 //   * α = 1.5: exact sort-based closed form,
-//   * other α > 1: bisection on the threshold τ, then renormalized.
+//   * other α > 1: safeguarded Newton on the threshold τ, then renormalized
+//     (kernels::EntmaxRows; scalar or SIMD by the active Backend).
+//
+// On every path a row holding a NaN or ±Inf yields an all-NaN output row and
+// leaves the other rows untouched, and each output row depends only on its
+// own input row.
 
 namespace armnet::tmath {
 

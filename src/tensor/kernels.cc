@@ -136,6 +136,20 @@ void DequantRowF16(const uint16_t* src, float* out, int64_t n) {
   return scalar::DequantRowF16(src, out, n);
 }
 
+void VecSupportPow(const float* a, float exponent, float* out, int64_t n) {
+  ARMNET_KERNEL_PRECONDITIONS2(a, out, n);
+  ARMNET_PROFILE_COUNT("kernel/VecSupportPow", 1);
+  ARMNET_DISPATCH(VecSupportPow, a, exponent, out, n);
+}
+void EntmaxRows(const float* z, float* p, int64_t rows, int64_t d,
+                float alpha) {
+  ARMNET_DCHECK(rows >= 0 && d > 0);
+  ARMNET_DCHECK(rows == 0 || (z != nullptr && p != nullptr));
+  ARMNET_DCHECK(alpha > 1.0f);
+  ARMNET_PROFILE_COUNT("kernel/EntmaxRows", 1);
+  ARMNET_DISPATCH(EntmaxRows, z, p, rows, d, alpha);
+}
+
 #undef ARMNET_DISPATCH
 #undef ARMNET_KERNEL_PRECONDITIONS2
 #undef ARMNET_KERNEL_PRECONDITIONS3

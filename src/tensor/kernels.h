@@ -15,6 +15,13 @@
 
 namespace armnet::kernels {
 
+// Stopping rule of the α-entmax solver (EntmaxRows, DESIGN.md §6). A row
+// stops once |Σp(τ) − 1| ≤ kEntmaxResidualTol, or once its bracket on τ is
+// no wider than kEntmaxBracketTol (τ lies in [−1, 0] after the max shift,
+// so this is one float32 ulp at |τ| = 1).
+inline constexpr float kEntmaxResidualTol = 1e-6f;
+inline constexpr float kEntmaxBracketTol = 1.1920929e-7f;  // 2^-23
+
 namespace scalar {
 void VecAdd(const float* a, const float* b, float* out, int64_t n);
 void VecSub(const float* a, const float* b, float* out, int64_t n);
@@ -32,6 +39,16 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
 void DequantRowI8(const int8_t* src, float scale, float* out, int64_t n);
 // Dequantize one fp16 row: out[i] = HalfToFloat(src[i]).
 void DequantRowF16(const uint16_t* src, float* out, int64_t n);
+// out[i] = a[i]^exponent where a[i] > 0, else 0 (the support of a sparse
+// probability row; NaN counts as off the support).
+void VecSupportPow(const float* a, float exponent, float* out, int64_t n);
+// α-entmax (α > 1) over `rows` contiguous rows of length d. Row r of `p` is
+// [(α−1)(z_r − max z_r) − τ_r]_+^{1/(α−1)}, renormalized, with τ_r found by
+// safeguarded Newton inside [−1, 0]. A row holding a NaN or ±Inf yields an
+// all-NaN row. Each output row depends only on its own input row, bit for
+// bit, whatever the other rows and the row's position in the batch.
+void EntmaxRows(const float* z, float* p, int64_t rows, int64_t d,
+                float alpha);
 }  // namespace scalar
 
 namespace simd {
@@ -49,6 +66,10 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
 void DequantRowI8(const int8_t* src, float scale, float* out, int64_t n);
 // Requires F16C (dispatcher guards on F16cAvailable()).
 void DequantRowF16(const uint16_t* src, float* out, int64_t n);
+void VecSupportPow(const float* a, float exponent, float* out, int64_t n);
+// Solves 8 rows per AVX2 register group, one row per lane.
+void EntmaxRows(const float* z, float* p, int64_t rows, int64_t d,
+                float alpha);
 }  // namespace simd
 
 // Dispatching wrappers.
@@ -65,6 +86,9 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
           float beta, float* c);
 void DequantRowI8(const int8_t* src, float scale, float* out, int64_t n);
 void DequantRowF16(const uint16_t* src, float* out, int64_t n);
+void VecSupportPow(const float* a, float exponent, float* out, int64_t n);
+void EntmaxRows(const float* z, float* p, int64_t rows, int64_t d,
+                float alpha);
 
 }  // namespace armnet::kernels
 

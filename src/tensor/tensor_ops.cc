@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "tensor/kernels.h"
 
@@ -260,13 +261,13 @@ Tensor Tanh(const Tensor& a) {
   return Unary(a, [](float x) { return std::tanh(x); });
 }
 
-void ReluOut(const Tensor& a, Tensor& out) {
-  UnaryOut(a, out, [](float x) { return x > 0 ? x : 0.0f; });
-}
+// NaN passes through, so a non-finite activation reaches the logits, where
+// the serving breaker looks for it.
+constexpr auto kRelu = [](float x) { return x <= 0 ? 0.0f : x; };
 
-Tensor Relu(const Tensor& a) {
-  return Unary(a, [](float x) { return x > 0 ? x : 0.0f; });
-}
+void ReluOut(const Tensor& a, Tensor& out) { UnaryOut(a, out, kRelu); }
+
+Tensor Relu(const Tensor& a) { return Unary(a, kRelu); }
 
 void LeakyReluOut(const Tensor& a, float slope, Tensor& out) {
   UnaryOut(a, out, [slope](float x) { return x > 0 ? x : slope * x; });
@@ -783,8 +784,18 @@ void SoftmaxLastDimOut(const Tensor& a, Tensor& out) {
   for (int64_t r = 0; r < rows; ++r) {
     const float* src = a.data() + r * d;
     float* dst = out.data() + r * d;
+    // A row holding a NaN or ±Inf becomes an all-NaN row (std::max would
+    // skip a NaN, and exp(−Inf − max) would hide an −Inf as a zero).
+    bool finite = true;
     float row_max = src[0];
-    for (int64_t j = 1; j < d; ++j) row_max = std::max(row_max, src[j]);
+    for (int64_t j = 0; j < d; ++j) {
+      finite = finite && std::isfinite(src[j]);
+      row_max = std::max(row_max, src[j]);
+    }
+    if (!finite) {
+      std::fill(dst, dst + d, std::numeric_limits<float>::quiet_NaN());
+      continue;
+    }
     float total = 0;
     for (int64_t j = 0; j < d; ++j) {
       dst[j] = std::exp(src[j] - row_max);

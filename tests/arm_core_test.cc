@@ -5,10 +5,12 @@
 #include "core/arm_net.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "autograd/grad_check.h"
+#include "autograd/grad_mode.h"
 #include "core/arm_net_plus.h"
 #include "data/synthetic.h"
 #include "optim/adam.h"
@@ -231,6 +233,31 @@ TEST(ArmNetTest, ForwardAndTraceAgree) {
   const Tensor traced = model.ForwardWithTrace(batch, dropout, &trace).value();
   EXPECT_TRUE(plain.AllClose(traced, 1e-6f));
   EXPECT_EQ(trace.gates.shape().dim(0), 16);
+}
+
+// A NaN in the gate's bilinear map or queries must surface as NaN logits,
+// which the serving breaker inspects, and never abort the process inside the
+// α-entmax solver.
+TEST(ArmNetTest, NanGateWeightGivesNanLogits) {
+  data::SyntheticDataset synthetic = TinyData(16);
+  data::Batch batch = TinyBatch(synthetic.dataset, 8);
+  // ArmModule registers bilinear [K, ne, ne], then queries [K, o, ne].
+  for (size_t index : {size_t{0}, size_t{1}}) {
+    Rng rng(12);
+    ArmNet model(synthetic.dataset.schema().num_features(),
+                 synthetic.dataset.num_fields(), SmallConfig(), rng);
+    model.SetTraining(false);
+    Variable weight = model.arm_module().Parameters()[index];
+    ASSERT_EQ(weight.shape().dim(-1), SmallConfig().embed_dim);
+    weight.mutable_value()[0] = std::numeric_limits<float>::quiet_NaN();
+    NoGradGuard no_grad;
+    Rng dropout(0);
+    const Tensor logits = model.Forward(batch, dropout).value();
+    ASSERT_EQ(logits.numel(), 8);
+    for (int64_t i = 0; i < logits.numel(); ++i) {
+      EXPECT_TRUE(std::isnan(logits[i])) << "parameter " << index;
+    }
+  }
 }
 
 TEST(ArmNetTest, ParameterCountMatchesArchitecture) {

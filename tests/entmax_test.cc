@@ -1,15 +1,24 @@
 // Property and correctness tests for the α-entmax family (paper Eq. 2/5):
 // simplex membership, sparsity monotone in α, agreement between exact and
-// bisection solvers, limiting cases, invariances, and Jacobian checks.
+// general-α solvers, limiting cases, invariances, and Jacobian checks; then
+// oracle tests for the general-α kernel (a double-precision bisection and
+// the float bisection it replaced), batch independence, backend agreement,
+// and non-finite rows.
 
 #include "autograd/entmax.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
+#include "tensor/backend.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace armnet {
@@ -202,6 +211,257 @@ TEST(EntmaxTest, BatchedShapePreserved) {
   Tensor z = Tensor::Normal(Shape({2, 3, 4, 5}), 0, 1, rng);
   Tensor p = ag::EntmaxLastDimValue(z, 1.5f);
   EXPECT_EQ(p.shape(), z.shape());
+}
+
+// --- General-α kernel: oracles, batch independence, backends -------------
+
+// The float solver kernels::EntmaxRows replaced, kept as a reference: 24
+// halvings of τ over [max((α−1)z) − 1, max((α−1)z)], then renormalized.
+void OldBisectionRow(const float* z, float* p, int64_t d, float alpha) {
+  const float am1 = alpha - 1.0f;
+  const float inv_am1 = 1.0f / am1;
+  float z_max = -std::numeric_limits<float>::infinity();
+  for (int64_t j = 0; j < d; ++j) {
+    p[j] = am1 * z[j];
+    z_max = std::max(z_max, p[j]);
+  }
+  float lo = z_max - 1.0f;
+  float hi = z_max;
+  for (int iteration = 0; iteration < 24; ++iteration) {
+    const float mid = 0.5f * (lo + hi);
+    float total = 0;
+    for (int64_t j = 0; j < d; ++j) {
+      const float v = p[j] - mid;
+      if (v > 0) total += std::exp(inv_am1 * std::log(v));
+    }
+    if (total < 1.0f) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  const float tau = 0.5f * (lo + hi);
+  float total = 0;
+  for (int64_t j = 0; j < d; ++j) {
+    const float v = p[j] - tau;
+    p[j] = v > 0 ? std::exp(inv_am1 * std::log(v)) : 0.0f;
+    total += p[j];
+  }
+  for (int64_t j = 0; j < d; ++j) p[j] /= total;
+}
+
+// Double-precision bisection run until the bracket stops shrinking.
+std::vector<double> OracleRow(const float* z, int64_t d, double alpha) {
+  const double am1 = alpha - 1.0;
+  double z_max = z[0];
+  for (int64_t j = 0; j < d; ++j) z_max = std::max(z_max, double{z[j]});
+  std::vector<double> x(static_cast<size_t>(d));
+  for (int64_t j = 0; j < d; ++j) {
+    x[static_cast<size_t>(j)] = am1 * (z[j] - z_max);
+  }
+  double lo = -1.0;
+  double hi = 0.0;
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    const double mid = 0.5 * (lo + hi);
+    double total = 0;
+    for (double xj : x) {
+      if (xj > mid) total += std::pow(xj - mid, 1.0 / am1);
+    }
+    (total < 1.0 ? hi : lo) = mid;
+  }
+  std::vector<double> p(x.size());
+  double total = 0;
+  for (size_t j = 0; j < x.size(); ++j) {
+    p[j] = x[j] > lo ? std::pow(x[j] - lo, 1.0 / am1) : 0.0;
+    total += p[j];
+  }
+  for (double& pj : p) pj /= total;
+  return p;
+}
+
+// Rows at three score spreads: ARM-Net's narrow gate scores (σ = 0.1, full
+// support at d = 10), N(0, 1) and a wide N(0, 3) with one- or two-entry
+// supports.
+Tensor SpreadRows(int64_t rows_per_spread, int64_t d, uint64_t seed) {
+  Rng rng(seed);
+  const float spreads[] = {0.1f, 1.0f, 3.0f};
+  Tensor z(Shape({3 * rows_per_spread, d}));
+  int64_t i = 0;
+  for (float sigma : spreads) {
+    Tensor part = Tensor::Normal(Shape({rows_per_spread, d}), 0, sigma, rng);
+    for (int64_t k = 0; k < part.numel(); ++k) z[i++] = part[k];
+  }
+  return z;
+}
+
+std::vector<Backend> AvailableBackends() {
+  std::vector<Backend> backends{Backend::kScalar};
+  if (SimdAvailable()) backends.push_back(Backend::kSimd);
+  return backends;
+}
+
+Tensor SolveRows(Backend backend, const Tensor& z, float alpha) {
+  const int64_t d = z.dim(-1);
+  Tensor p(z.shape());
+  if (backend == Backend::kSimd) {
+    kernels::simd::EntmaxRows(z.data(), p.data(), z.numel() / d, d, alpha);
+  } else {
+    kernels::scalar::EntmaxRows(z.data(), p.data(), z.numel() / d, d, alpha);
+  }
+  return p;
+}
+
+double MaxErrorVsOracle(const Tensor& z, const Tensor& p, float alpha) {
+  const int64_t d = z.dim(-1);
+  double worst = 0;
+  for (int64_t r = 0; r < z.numel() / d; ++r) {
+    const std::vector<double> q = OracleRow(z.data() + r * d, d, alpha);
+    for (int64_t j = 0; j < d; ++j) {
+      worst = std::max(worst,
+                       std::fabs(p[r * d + j] - q[static_cast<size_t>(j)]));
+    }
+  }
+  return worst;
+}
+
+Tensor OldBisection(const Tensor& z, float alpha) {
+  const int64_t d = z.dim(-1);
+  Tensor p(z.shape());
+  for (int64_t r = 0; r < z.numel() / d; ++r) {
+    OldBisectionRow(z.data() + r * d, p.data() + r * d, d, alpha);
+  }
+  return p;
+}
+
+TEST(EntmaxSolverTest, MatchesDoubleOracleUpToAlphaTwo) {
+  // 1.5 and 2.0 call the kernel directly, bypassing the exact solvers.
+  for (int64_t d : {10, 39, 43}) {
+    const Tensor z = SpreadRows(48, d, 50 + d);
+    for (float alpha : {1.3f, 1.5f, 1.7f, 2.0f}) {
+      for (Backend backend : AvailableBackends()) {
+        EXPECT_LE(MaxErrorVsOracle(z, SolveRows(backend, z, alpha), alpha),
+                  1e-6)
+            << BackendName(backend) << " d=" << d << " alpha=" << alpha;
+      }
+    }
+  }
+}
+
+TEST(EntmaxSolverTest, AboveAlphaTwoWithinFourTimesOldBisectionError) {
+  // Near the support boundary p = v^{1/(α−1)} has unbounded slope for
+  // α > 2, so float rounding of the scores alone costs ~1e-4 at α = 3;
+  // the bound is relative to the old solver's own error.
+  for (int64_t d : {10, 39, 43}) {
+    const Tensor z = SpreadRows(48, d, 60 + d);
+    for (float alpha : {2.5f, 3.0f}) {
+      const double old_error =
+          MaxErrorVsOracle(z, OldBisection(z, alpha), alpha);
+      for (Backend backend : AvailableBackends()) {
+        EXPECT_LE(MaxErrorVsOracle(z, SolveRows(backend, z, alpha), alpha),
+                  4 * old_error)
+            << BackendName(backend) << " d=" << d << " alpha=" << alpha;
+      }
+    }
+  }
+}
+
+TEST(EntmaxSolverTest, AgreesWithOldBisectionAtArmNetAlpha) {
+  for (int64_t d : {10, 39, 43}) {
+    const Tensor z = SpreadRows(64, d, 70 + d);
+    const Tensor old = OldBisection(z, 1.7f);
+    for (Backend backend : AvailableBackends()) {
+      EXPECT_TRUE(SolveRows(backend, z, 1.7f).AllClose(old, 1e-6f))
+          << BackendName(backend) << " d=" << d;
+    }
+  }
+}
+
+TEST(EntmaxSolverTest, RowsAreBatchIndependentBitForBit) {
+  // 13 rows: one full 8-row group and a 5-row tail group. The same rows
+  // shifted by three change every row's lane and group neighbours.
+  constexpr int64_t kRows = 13;
+  constexpr int64_t kShift = 3;
+  for (int64_t d : {1, 10, 39, 43, 100}) {
+    Rng rng(80 + d);
+    const Tensor z = Tensor::Normal(Shape({kRows, d}), 0, 1, rng);
+    const Tensor shifted = tmath::Slice(z, 0, kShift, kRows - kShift);
+    for (float alpha : {1.7f, 2.5f}) {
+      for (Backend backend : AvailableBackends()) {
+        const Tensor batch = SolveRows(backend, z, alpha);
+        const Tensor moved = SolveRows(backend, shifted, alpha);
+        for (int64_t r = 0; r < kRows; ++r) {
+          const Tensor row = tmath::Slice(z, 0, r, 1);
+          const Tensor alone = SolveRows(backend, row, alpha);
+          const size_t bytes = sizeof(float) * static_cast<size_t>(d);
+          EXPECT_EQ(std::memcmp(alone.data(), batch.data() + r * d, bytes), 0)
+              << BackendName(backend) << " d=" << d << " alpha=" << alpha
+              << " row=" << r;
+          if (r >= kShift) {
+            EXPECT_EQ(std::memcmp(moved.data() + (r - kShift) * d,
+                                  batch.data() + r * d, bytes),
+                      0)
+                << BackendName(backend) << " d=" << d << " row=" << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EntmaxSolverTest, BackendsAgree) {
+  if (!SimdAvailable()) GTEST_SKIP() << "no AVX2 on this machine";
+  for (int64_t d : {10, 39, 43}) {
+    const Tensor z = SpreadRows(64, d, 90 + d);
+    for (float alpha : {1.3f, 1.7f, 2.0f}) {
+      EXPECT_TRUE(SolveRows(Backend::kSimd, z, alpha)
+                      .AllClose(SolveRows(Backend::kScalar, z, alpha), 1e-6f))
+          << "d=" << d << " alpha=" << alpha;
+    }
+  }
+}
+
+class EntmaxBackendTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    if (SimdAvailable()) SetBackend(Backend::kSimd);
+  }
+};
+
+TEST_F(EntmaxBackendTest, NonFiniteRowsBecomeNaNRowsOnEveryPath) {
+  constexpr int64_t kRows = 11;
+  constexpr int64_t kD = 10;
+  Rng rng(100);
+  Tensor z = Tensor::Normal(Shape({kRows, kD}), 0, 1, rng);
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const std::vector<std::pair<int64_t, float>> poisoned = {
+      {1, kNaN}, {4, kInf}, {9, -kInf}};
+  for (const auto& [row, value] : poisoned) z[row * kD + 3] = value;
+  auto is_poisoned = [&](int64_t r) {
+    return std::any_of(poisoned.begin(), poisoned.end(),
+                       [r](const auto& entry) { return entry.first == r; });
+  };
+  for (Backend backend : AvailableBackends()) {
+    SetBackend(backend);
+    for (float alpha : {1.0f, 1.5f, 1.7f, 2.0f, 2.5f}) {
+      const Tensor p = ag::EntmaxLastDimValue(z, alpha);
+      for (int64_t r = 0; r < kRows; ++r) {
+        if (is_poisoned(r)) {
+          for (int64_t j = 0; j < kD; ++j) {
+            EXPECT_TRUE(std::isnan(p[r * kD + j]))
+                << BackendName(backend) << " alpha=" << alpha << " row=" << r;
+          }
+          continue;
+        }
+        const Tensor alone =
+            ag::EntmaxLastDimValue(tmath::Slice(z, 0, r, 1), alpha);
+        EXPECT_EQ(std::memcmp(alone.data(), p.data() + r * kD,
+                              sizeof(float) * kD),
+                  0)
+            << BackendName(backend) << " alpha=" << alpha << " row=" << r;
+      }
+    }
+  }
 }
 
 }  // namespace
