@@ -1,6 +1,6 @@
 // Figure 9 — Impact of a larger input embedding size on ARM-Net+: AUC and
 // Logloss as n_e grows on Frappe and MovieLens, plus the storage cost of
-// serving each size from a quantized embedding store (DESIGN.md §15):
+// serving each size from a quantized embedding store (DESIGN.md §14):
 // bytes/row, dequantize-on-gather latency, and AUC delta vs the float32
 // table for fp16 and int8 rows.
 //

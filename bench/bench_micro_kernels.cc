@@ -144,7 +144,7 @@ void BM_GatherRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherRows)->Arg(10)->Arg(64);
 
-// Dequantize-on-gather from a QuantizedTable (DESIGN.md §15): the serving
+// Dequantize-on-gather from a QuantizedTable (DESIGN.md §14): the serving
 // no-grad lookup route, per storage kind.
 void BM_QuantizedGather(benchmark::State& state) {
   Rng rng(4);

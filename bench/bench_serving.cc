@@ -18,7 +18,7 @@
 // come from counter deltas.
 //
 // Report schema is v3: on top of the v2 sweep/* and reload/under_load rows,
-// a drift/shadow sweep (DESIGN.md §16) runs arrival shapes (steady,
+// a drift/shadow sweep (DESIGN.md §15) runs arrival shapes (steady,
 // diurnal, burst) against clean and hostile traffic mixes on a
 // drift-enabled artifact with a live shadow model. Hostile mixes flood OOV
 // categoricals, out-of-range numericals, and a skewed categorical
@@ -132,7 +132,7 @@ OpenLoopResult RunOpenLoop(serve::PredictionService& service, int arrivals,
   return out;
 }
 
-// --- Drift/shadow shape sweep (DESIGN.md §16) ----------------------------
+// --- Drift/shadow shape sweep (DESIGN.md §15) ----------------------------
 
 constexpr double kPi = 3.14159265358979323846;
 
@@ -500,7 +500,7 @@ int main(int argc, char** argv) {
     row.counters.push_back({"completed_ok", under.completed});
   }
 
-  // --- Drift/shadow shape sweep (DESIGN.md §16) --------------------------
+  // --- Drift/shadow shape sweep (DESIGN.md §15) --------------------------
   // A drift-enabled copy of the artifact: the trained model's score
   // histogram over the training table becomes the reference, exactly what
   // the trainer exports. Small windows so the smoke-scale run crosses

@@ -21,7 +21,6 @@
 #include "core/arm_net.h"
 #include "data/batcher.h"
 #include "optim/adam.h"
-#include "plan/compiled_predictor.h"
 #include "tensor/backend.h"
 #include "tensor/storage_pool.h"
 #include "util/stopwatch.h"
@@ -33,13 +32,6 @@ using namespace armnet;
 struct Throughput {
   double train = 0;
   double inference = 0;
-  // Compiled-inference A/B (DESIGN.md §14): the same eval batches replayed
-  // by the plan VM out of its preallocated arena, vs the interpreted
-  // tape-free forward above. `compiled` is 0 if the model failed to compile
-  // (the serving layer would fall back to interpretation).
-  double compiled = 0;
-  int64_t plan_instructions = 0;
-  int64_t plan_fused_ops = 0;
   // Execution-mode observability for the inference loop (DESIGN.md §9):
   // tape nodes must be 0 under NoGradGuard, and the pool hit rate shows
   // how much of the steady state reuses buffers instead of allocating.
@@ -107,14 +99,13 @@ Throughput Measure(const data::Dataset& dataset, int64_t batch_size,
     eval_batches.push_back(std::move(b));
   }
 
-  // Both inference loops are short relative to training, so run each a few
-  // times and keep the best pass — the A/B compares steady states, not
-  // whichever pass a scheduler hiccup landed on.
+  // The inference loop is short relative to training, so run it a few
+  // times and keep the best pass — a steady state, not whichever pass a
+  // scheduler hiccup landed on.
   constexpr int kInferReps = 3;
 
-  // Interpreted inference: forward only, eval mode, tape-free and
-  // buffer-pooled — the configuration armor/interpret entry points use and
-  // the serving layer's fallback path.
+  // Inference: forward only, eval mode, tape-free and buffer-pooled — the
+  // configuration armor/interpret entry points and the serving layer use.
   const int64_t nodes_before = autograd::GetTapeStats().nodes_recorded;
   TensorPool pool;
   for (int rep = 0; rep < kInferReps; ++rep) {
@@ -135,29 +126,6 @@ Throughput Measure(const data::Dataset& dataset, int64_t batch_size,
   throughput.tape_nodes =
       autograd::GetTapeStats().nodes_recorded - nodes_before;
   throughput.pool = pool.stats();
-
-  // Compiled inference: trace + fuse + pack once (outside the timed
-  // region), then replay the plan over the same batches.
-  plan::CompiledPredictor predictor(&model);
-  Status warmed = predictor.Warm(batch_size, dataset.num_fields());
-  if (warmed.ok()) {
-    std::vector<float> logits;
-    for (int rep = 0; rep < kInferReps; ++rep) {
-      tuples = 0;
-      watch.Restart();
-      for (const data::Batch& eval_batch : eval_batches) {
-        ARMNET_CHECK(predictor.TryRun(eval_batch, &logits))
-            << "warmed plan refused a batch";
-        tuples += eval_batch.batch_size;
-      }
-      throughput.compiled =
-          std::max(throughput.compiled,
-                   static_cast<double>(tuples) / watch.ElapsedSeconds());
-    }
-    const plan::CompiledPredictor::Stats stats = predictor.stats();
-    throughput.plan_instructions = stats.instructions;
-    throughput.plan_fused_ops = stats.fused_ops;
-  }
   return throughput;
 }
 
@@ -182,10 +150,9 @@ int main(int argc, char** argv) {
     std::printf("SIMD backend unavailable on this CPU; reporting scalar "
                 "only.\n");
   }
-  std::printf("%-12s %7s | %12s %12s | %12s %12s | %8s %8s | %12s %8s\n",
-              "Dataset", "Fields", "train-scalar", "train-simd",
-              "infer-scalar", "infer-simd", "spd-trn", "spd-inf",
-              "infer-plan", "spd-plan");
+  std::printf("%-12s %7s | %12s %12s | %12s %12s | %8s %8s\n", "Dataset",
+              "Fields", "train-scalar", "train-simd", "infer-scalar",
+              "infer-simd", "spd-trn", "spd-inf");
 
   // Sort by field count like the paper's presentation.
   std::vector<armnet::data::SyntheticSpec> specs = {
@@ -211,17 +178,11 @@ int main(int argc, char** argv) {
       SetBackend(Backend::kSimd);
       simd = Measure(synthetic.dataset, batch_size, num_batches);
     }
-    // The compiled column compares against the best interpreted backend:
-    // that is the configuration the serving layer would otherwise run.
-    const Throughput& best = SimdAvailable() ? simd : scalar;
-    std::printf("%-12s %7d | %12.0f %12.0f | %12.0f %12.0f | %7.2fx %7.2fx "
-                "| %12.0f %7.2fx\n",
+    std::printf("%-12s %7d | %12.0f %12.0f | %12.0f %12.0f | %7.2fx %7.2fx\n",
                 spec.name.c_str(), synthetic.dataset.num_fields(),
                 scalar.train, simd.train, scalar.inference, simd.inference,
                 simd.train > 0 ? simd.train / scalar.train : 0.0,
-                simd.inference > 0 ? simd.inference / scalar.inference : 0.0,
-                best.compiled,
-                best.compiled > 0 ? best.compiled / best.inference : 0.0);
+                simd.inference > 0 ? simd.inference / scalar.inference : 0.0);
     std::fflush(stdout);
     inference_tape_nodes += scalar.tape_nodes + simd.tape_nodes;
     pool_hits += scalar.pool.hits + simd.pool.hits;
@@ -241,26 +202,14 @@ int main(int argc, char** argv) {
       row.counters.emplace_back("pool_hits", t.pool.hits);
       row.counters.emplace_back("pool_misses", t.pool.misses);
       row.counters.emplace_back("pool_bytes_served", t.pool.bytes_served);
-      row.counters.emplace_back("plan_instructions", t.plan_instructions);
-      row.counters.emplace_back("plan_fused_ops", t.plan_fused_ops);
       row.metrics.emplace_back("train_tuples_per_s", t.train);
       row.metrics.emplace_back("infer_tuples_per_s", t.inference);
-      row.metrics.emplace_back("compiled_tuples_per_s", t.compiled);
-      // Interpreted-vs-compiled A/B on the inference axis: ms to serve one
-      // batch each way, and the speedup the plan VM buys.
+      // ms to serve one inference batch.
       const double interp_ms =
           t.inference > 0
               ? 1000.0 * static_cast<double>(batch_size) / t.inference
               : std::numeric_limits<double>::quiet_NaN();
-      const double compiled_ms =
-          t.compiled > 0
-              ? 1000.0 * static_cast<double>(batch_size) / t.compiled
-              : std::numeric_limits<double>::quiet_NaN();
       row.metrics.emplace_back("interpreted_ms_per_batch", interp_ms);
-      row.metrics.emplace_back("compiled_ms_per_batch", compiled_ms);
-      row.metrics.emplace_back(
-          "compiled_speedup",
-          t.compiled > 0 && t.inference > 0 ? t.compiled / t.inference : 0.0);
     };
     add_row("scalar", scalar);
     if (SimdAvailable()) add_row("simd", simd);

@@ -21,16 +21,11 @@ RunMetrics CaptureRunMetrics(const TensorPool* pool) {
 RunMetrics CaptureRunMetrics(
     const TensorPool* pool, std::vector<prof::CounterStats> serve_counters,
     std::vector<std::pair<std::string, double>> serve_gauges,
-    std::vector<prof::CounterStats> plan_counters,
     std::vector<std::pair<std::string, double>> drift_metrics) {
   RunMetrics metrics = CaptureRunMetrics(pool);
   metrics.has_serve = true;
   metrics.serve = std::move(serve_counters);
   metrics.serve_gauges = std::move(serve_gauges);
-  if (!plan_counters.empty()) {
-    metrics.has_plan = true;
-    metrics.plan = std::move(plan_counters);
-  }
   if (!drift_metrics.empty()) {
     metrics.has_drift = true;
     metrics.drift = std::move(drift_metrics);
@@ -92,16 +87,6 @@ std::string RunMetricsJson(const RunMetrics& metrics) {
       w.BeginObject();
       w.Key("name").String(name);
       w.Key("value").Double(value);
-      w.EndObject();
-    }
-    w.EndArray();
-  }
-  if (metrics.has_plan) {
-    w.Key("plan").BeginArray();
-    for (const prof::CounterStats& c : metrics.plan) {
-      w.BeginObject();
-      w.Key("name").String(c.name);
-      w.Key("count").Int(c.count);
       w.EndObject();
     }
     w.EndArray();

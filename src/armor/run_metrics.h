@@ -33,11 +33,6 @@ struct RunMetrics {
   // p99 — serve::PredictionService::GaugeSnapshot). Counters answer "how
   // many"; these answer "where is the control loop sitting right now".
   std::vector<std::pair<std::string, double>> serve_gauges;
-  // Compiled-plan counters (plan::CompiledPredictor::Stats, pre-extracted as
-  // a name/count list — serve::PredictionService::PlanCounterSnapshot or a
-  // bench's own predictor). Present when a compiled predictor was in play.
-  bool has_plan = false;
-  std::vector<prof::CounterStats> plan;
   // Drift/shadow gauges (serve::PredictionService::DriftMetricsSnapshot):
   // per-field windowed OOV/clamp rates vs baseline, score PSI, and the
   // shadow delta statistics. Present when a service was captured with its
@@ -54,14 +49,12 @@ RunMetrics CaptureRunMetrics(const TensorPool* pool = nullptr);
 
 // As above, additionally embedding a prediction service's counter snapshot
 // (the "serve" section of the JSON), optionally its operating-point gauges
-// (the "serve_gauges" section), and optionally compiled-plan counters (the
-// "plan" section, PredictionService::PlanCounterSnapshot). Takes the
-// pre-extracted lists so armor depends on neither the serve nor the plan
-// library.
+// (the "serve_gauges" section) and drift/shadow gauges (the "drift"
+// section). Takes the pre-extracted lists so armor does not depend on the
+// serve library.
 RunMetrics CaptureRunMetrics(
     const TensorPool* pool, std::vector<prof::CounterStats> serve_counters,
     std::vector<std::pair<std::string, double>> serve_gauges = {},
-    std::vector<prof::CounterStats> plan_counters = {},
     std::vector<std::pair<std::string, double>> drift_metrics = {});
 
 // Compact single-line JSON object:
@@ -73,7 +66,6 @@ RunMetrics CaptureRunMetrics(
 //    "counters":[{"name":s,"count":N},...],
 //    "serve":[{"name":s,"count":N},...],                  // if has_serve
 //    "serve_gauges":[{"name":s,"value":f},...],           // if non-empty
-//    "plan":[{"name":s,"count":N},...],                   // if has_plan
 //    "drift":[{"name":s,"value":f},...]}                  // if has_drift
 std::string RunMetricsJson(const RunMetrics& metrics);
 

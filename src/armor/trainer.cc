@@ -500,7 +500,7 @@ TrainResult Fit(models::TabularModel& model, const data::Splits& splits,
     if (config.export_feature_space != nullptr) {
       data::FeatureSpace artifact_space = *config.export_feature_space;
       if (config.export_drift_reference) {
-        // Drift reference (DESIGN.md §16): the restored best-epoch model's
+        // Drift reference (DESIGN.md §15): the restored best-epoch model's
         // score distribution over the validation split (training split when
         // no validation rows exist) becomes the serving-time comparison
         // baseline. Per-field baseline rates stay zero — the vocabulary and

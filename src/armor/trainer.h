@@ -88,7 +88,7 @@ struct TrainConfig {
   // artifact.
   const data::FeatureSpace* export_feature_space = nullptr;
   // Embed a drift reference in the exported serving artifact (DESIGN.md
-  // §16): the best-epoch model's score histogram over the validation split
+  // §15): the best-epoch model's score histogram over the validation split
   // plus per-field baseline OOV/clamp rates (zero by construction — the
   // vocabulary and ranges come from the training data). The prediction
   // service compares live windows against it; without the reference it

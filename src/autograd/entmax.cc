@@ -2,16 +2,14 @@
 
 #include <algorithm>
 
-#include "autograd/trace_hook.h"
 #include "tensor/entmax.h"
 #include "tensor/kernels.h"
 #include "util/profiler.h"
 
 namespace armnet::ag {
 
-// The value-level solvers live in the tensor layer (tensor/entmax.h) so the
-// execution-plan VM can replay them; these wrappers keep the historical
-// autograd-layer API.
+// The value-level solvers live in the tensor layer (tensor/entmax.h); these
+// wrappers keep the historical autograd-layer API.
 Tensor SparsemaxLastDimValue(const Tensor& z) {
   return tmath::SparsemaxLastDim(z);
 }
@@ -28,11 +26,6 @@ Variable Entmax(const Variable& z, float alpha) {
   ARMNET_PROFILE_SCOPE("fwd/Entmax");
   Tensor out = tmath::EntmaxLastDim(z.value(), alpha);
   Tensor p = out;
-  if (trace::Active()) {
-    trace::OpAttrs attrs;
-    attrs.scalar = alpha;
-    trace::AnnotateNextOp(attrs);
-  }
   return MakeFromOp(
       std::move(out), {z}, [z, p, alpha](const Tensor& g) mutable {
         if (!z.requires_grad()) return;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "autograd/grad_mode.h"
-#include "autograd/trace_hook.h"
 #include "tensor/quantized.h"
 #include "tensor/tensor_ops.h"
 #include "util/profiler.h"
@@ -12,20 +11,6 @@
 namespace armnet::ag {
 
 namespace tm = ::armnet::tmath;
-
-namespace {
-
-// Publishes a scalar payload (step size, exponent, slope, clamp bound) to an
-// active trace sink just before the op reaches the tape boundary.
-inline void AnnotateScalar(float s) {
-  if (trace::Active()) {
-    trace::OpAttrs attrs;
-    attrs.scalar = s;
-    trace::AnnotateNextOp(attrs);
-  }
-}
-
-}  // namespace
 
 Variable Add(const Variable& a, const Variable& b) {
   Tensor out = tm::Add(a.value(), b.value());
@@ -70,7 +55,6 @@ Variable Div(const Variable& a, const Variable& b) {
 
 Variable AddScalar(const Variable& a, float s) {
   Tensor out = tm::AddScalar(a.value(), s);
-  AnnotateScalar(s);
   return MakeFromOp(std::move(out), {a}, [a](const Tensor& g) mutable {
     if (a.requires_grad()) a.AccumulateGrad(g);
   }, "AddScalar");
@@ -78,7 +62,6 @@ Variable AddScalar(const Variable& a, float s) {
 
 Variable MulScalar(const Variable& a, float s) {
   Tensor out = tm::MulScalar(a.value(), s);
-  AnnotateScalar(s);
   return MakeFromOp(std::move(out), {a}, [a, s](const Tensor& g) mutable {
     if (a.requires_grad()) a.AccumulateGrad(tm::MulScalar(g, s));
   }, "MulScalar");
@@ -86,7 +69,6 @@ Variable MulScalar(const Variable& a, float s) {
 
 Variable PowScalar(const Variable& a, float p) {
   Tensor out = tm::PowScalar(a.value(), p);
-  AnnotateScalar(p);
   return MakeFromOp(std::move(out), {a}, [a, p](const Tensor& g) mutable {
     if (a.requires_grad()) {
       Tensor da =
@@ -189,7 +171,6 @@ Variable LeakyRelu(const Variable& a, float slope) {
     const int64_t n = out.numel();
     for (int64_t i = 0; i < n; ++i) po[i] = pa[i] > 0 ? pa[i] : slope * pa[i];
   }
-  AnnotateScalar(slope);
   return MakeFromOp(std::move(out), {a}, [a, slope](const Tensor& g) {
     if (!a.requires_grad()) return;
     ARMNET_DCHECK(g.shape() == a.shape());
@@ -222,7 +203,6 @@ Variable Abs(const Variable& a) {
 
 Variable ClampMin(const Variable& a, float lo) {
   Tensor out = tm::ClampMin(a.value(), lo);
-  AnnotateScalar(lo);
   return MakeFromOp(std::move(out), {a}, [a, lo](const Tensor& g) mutable {
     if (!a.requires_grad()) return;
     ARMNET_DCHECK(g.shape() == a.shape());
@@ -255,12 +235,6 @@ Variable MatMul(const Variable& a, const Variable& b) {
 
 Variable Transpose(const Variable& a, int dim0, int dim1) {
   Tensor out = tm::Transpose(a.value(), dim0, dim1);
-  if (trace::Active()) {
-    trace::OpAttrs attrs;
-    attrs.axis = dim0;
-    attrs.axis2 = dim1;
-    trace::AnnotateNextOp(attrs);
-  }
   return MakeFromOp(std::move(out), {a},
                     [a, dim0, dim1](const Tensor& g) mutable {
                       if (a.requires_grad())
@@ -294,12 +268,6 @@ Variable Sum(const Variable& a, int axis, bool keepdim) {
   Tensor out = tm::Sum(a.value(), axis, keepdim);
   const int rank = a.value().rank();
   const int resolved = axis < 0 ? axis + rank : axis;
-  if (trace::Active()) {
-    trace::OpAttrs attrs;
-    attrs.axis = resolved;
-    attrs.keepdim = keepdim;
-    trace::AnnotateNextOp(attrs);
-  }
   return MakeFromOp(
       std::move(out), {a}, [a, resolved, keepdim](const Tensor& g) mutable {
         if (!a.requires_grad()) return;
@@ -331,11 +299,6 @@ Variable Concat(const std::vector<Variable>& parts, int axis) {
   Tensor out = tm::Concat(values, axis);
   const int rank = parts.front().value().rank();
   const int resolved = axis < 0 ? axis + rank : axis;
-  if (trace::Active()) {
-    trace::OpAttrs attrs;
-    attrs.axis = resolved;
-    trace::AnnotateNextOp(attrs);
-  }
   return MakeFromOp(std::move(out), parts,
                     [parts, resolved](const Tensor& g) mutable {
                       int64_t offset = 0;
@@ -352,13 +315,6 @@ Variable Concat(const std::vector<Variable>& parts, int axis) {
 
 Variable Slice(const Variable& a, int axis, int64_t start, int64_t length) {
   Tensor out = tm::Slice(a.value(), axis, start, length);
-  if (trace::Active()) {
-    trace::OpAttrs attrs;
-    attrs.axis = axis;
-    attrs.start = start;
-    attrs.length = length;
-    trace::AnnotateNextOp(attrs);
-  }
   return MakeFromOp(std::move(out), {a},
                     [a, axis, start](const Tensor& g) mutable {
                       if (a.requires_grad()) {
@@ -371,12 +327,6 @@ Variable Slice(const Variable& a, int axis, int64_t start, int64_t length) {
 Variable IndexSelect(const Variable& a, int axis,
                      const std::vector<int64_t>& indices) {
   Tensor out = tm::IndexSelect(a.value(), axis, indices);
-  if (trace::Active()) {
-    trace::OpAttrs attrs;
-    attrs.axis = axis;
-    attrs.indices = &indices;
-    trace::AnnotateNextOp(attrs);
-  }
   return MakeFromOp(std::move(out), {a},
                     [a, axis, indices](const Tensor& g) {
                       if (!a.requires_grad()) return;
@@ -389,11 +339,6 @@ Variable EmbeddingLookup(const Variable& table,
                          const std::vector<int64_t>& ids) {
   ARMNET_PROFILE_SCOPE("fwd/EmbeddingLookup");
   Tensor out = tm::GatherRows(table.value(), ids);
-  if (trace::Active()) {
-    trace::OpAttrs attrs;
-    attrs.indices = &ids;
-    trace::AnnotateNextOp(attrs);
-  }
   return MakeFromOp(std::move(out), {table},
                     [table, ids](const Tensor& g) mutable {
                       if (!table.requires_grad()) return;
@@ -412,14 +357,8 @@ Variable QuantizedEmbeddingLookup(
       << "QuantizedEmbeddingLookup is inference-only; train on the float32 "
          "table and quantize at export";
   Tensor out = table->GatherRows(ids);
-  if (trace::Active()) {
-    trace::OpAttrs attrs;
-    attrs.indices = &ids;
-    attrs.qtable = &table;
-    trace::AnnotateNextOp(attrs);
-  }
   // No inputs and no backward: grad mode is off, so MakeFromOp takes the
-  // tape-free path (and notifies the trace sink when one is installed).
+  // tape-free path.
   return MakeFromOp(std::move(out), {}, nullptr, "QuantEmbeddingLookup");
 }
 

@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "autograd/grad_mode.h"
-#include "autograd/trace_hook.h"
 #include "tensor/kernels.h"
 #include "util/profiler.h"
 
@@ -122,10 +121,6 @@ Variable MakeFromOp(Tensor value, const std::vector<Variable>& inputs,
     // that consume the output of one — are marked untracked so Backward()
     // on them fails with context instead of silently producing a zero
     // gradient. The flag propagates through the whole no-grad chain.
-    //
-    // The plan tracer observes exactly this path: an installed sink sees
-    // every op of an eval forward before the value moves into its result.
-    if (ag::trace::Active()) ag::trace::NotifyOp(op_name, value, inputs);
     Variable result(std::move(value), /*requires_grad=*/false);
     if (needs_grad || untracked_input) {
       result.impl()->untracked = true;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "autograd/ops.h"
-#include "autograd/trace_hook.h"
 #include "data/dataset.h"
 #include "nn/embedding.h"
 #include "nn/module.h"
@@ -42,11 +41,7 @@ class FeaturesLinear : public nn::Module {
     // [B*m, 1] -> [B, m]; scale by per-field values; sum over fields.
     Variable w = weights_.Forward(batch.ids);
     w = ag::Reshape(w, Shape({batch.batch_size, batch.num_fields}));
-    Tensor values = batch.ValuesTensor();
-    // Let the plan tracer see this tensor as per-request data rather than a
-    // captured weight constant.
-    ag::trace::NotifyBatchValues(values);
-    w = ag::Mul(w, ag::Constant(std::move(values)));
+    w = ag::Mul(w, ag::Constant(batch.ValuesTensor()));
     Variable out = ag::Sum(w, 1, /*keepdim=*/false);  // [B]
     return ag::Add(out, bias_);
   }
@@ -74,7 +69,6 @@ class FeaturesEmbedding : public nn::Module {
     // Scale each field's embedding by its value ([B, m, 1] broadcast).
     Tensor values = batch.ValuesTensor().Reshape(
         Shape({batch.batch_size, batch.num_fields, 1}));
-    ag::trace::NotifyBatchValues(values);
     return ag::Mul(e, ag::Constant(std::move(values)));
   }
 

@@ -123,7 +123,7 @@ Status SaveFeatureSpace(const FeatureSpace& space, const std::string& path) {
     }
   }
   writer.WriteDouble(space.train_positive_rate());
-  // Optional drift-reference block (DESIGN.md §16). Appended after the v1
+  // Optional drift-reference block (DESIGN.md §15). Appended after the v1
   // payload so readers predating it still validate: they stop at
   // positive_rate and see AtEnd() only when the block is absent, which is
   // exactly the set of artifacts they can interpret. Newer readers treat
@@ -199,7 +199,7 @@ StatusOr<FeatureSpace> LoadFeatureSpace(const std::string& path) {
   double positive_rate = 0;
   status = reader.ReadDouble(&positive_rate);
   if (!status.ok()) return status;
-  // Optional trailing drift-reference block: pre-§16 artifacts end here,
+  // Optional trailing drift-reference block: pre-§15 artifacts end here,
   // and load with drift monitoring disabled.
   DriftReference ref;
   if (!reader.AtEnd()) {

@@ -39,10 +39,10 @@ inline constexpr int64_t kUnkLocalId = 0;
 inline constexpr int kDriftScoreBins = 16;
 
 // Training-time reference distribution for online drift monitoring
-// (DESIGN.md §16). The trainer fills this from the validation split after
+// (DESIGN.md §15). The trainer fills this from the validation split after
 // the best-epoch weights are restored and embeds it in the serving
 // artifact; the prediction service compares its live sliding windows
-// against it. An artifact without a reference (every pre-§16 artifact)
+// against it. An artifact without a reference (every pre-§15 artifact)
 // simply loads with drift monitoring disabled.
 struct DriftReference {
   // Histogram of sigmoid(logit) over kDriftScoreBins uniform bins in
@@ -112,7 +112,7 @@ class FeatureSpace {
   // UNK and out-of-range numericals clamp, both counted in `out`.
   Status MapRow(const std::vector<std::string>& cells, MappedRow* out) const;
 
-  // Drift reference (DESIGN.md §16). Absent on artifacts written before
+  // Drift reference (DESIGN.md §15). Absent on artifacts written before
   // the reference existed and on spaces the trainer exported without one;
   // the service treats "absent" as "drift monitoring disabled".
   bool has_drift_reference() const { return drift_reference_.valid(); }

@@ -19,11 +19,11 @@ namespace armnet::nn {
 // pairs — the paper's preprocessing module (Section 3.2.1). Lookups take a
 // flat id vector; callers reshape the [n, width] result to [B, m, width].
 //
-// An exported QuantizedTable (DESIGN.md §15) can be attached as an
+// An exported QuantizedTable (DESIGN.md §14) can be attached as an
 // inference-time storage override: no-grad forwards then dequantize-on-
-// gather from the store (int8/fp16 rows, optionally mmap-backed and
-// hot-row-cached) while every taped forward keeps using the float32
-// parameter, so training and the optimizer are untouched.
+// gather from the store (int8/fp16 rows, optionally mmap-backed) while
+// every taped forward keeps using the float32 parameter, so training and
+// the optimizer are untouched.
 class Embedding : public Module {
  public:
   Embedding(int64_t num_rows, int64_t width, Rng& rng)

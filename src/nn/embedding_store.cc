@@ -198,7 +198,7 @@ StatusOr<std::shared_ptr<QuantizedTable>> OpenMappedEmbeddingStore(
           : nullptr;
   const void* data = rows * width > 0 ? base + data_offset : nullptr;
   // The aliasing owner keeps the mapping alive for exactly as long as any
-  // handle to the table (Embedding attachment, compiled plan, test) lives.
+  // handle to the table (Embedding attachment, test) lives.
   std::shared_ptr<const void> owner(file, file->data());
   return QuantizedTable::FromRaw(kind, rows, width, data, scales,
                                  std::move(owner));

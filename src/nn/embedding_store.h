@@ -7,7 +7,7 @@
 #include "tensor/quantized.h"
 #include "util/status.h"
 
-// Durable quantized-embedding weight files (DESIGN.md §15).
+// Durable quantized-embedding weight files (DESIGN.md §14).
 //
 // An embedding store is a serialize-v2 envelope (kind
 // kStateKindEmbeddingStore) whose payload is laid out for zero-copy
@@ -22,11 +22,10 @@
 //     the weights through the page cache.
 //
 // The mapping's lifetime is owned by the returned QuantizedTable (a
-// shared_ptr keep-alive): the file is unmapped when the last table handle —
-// including any compiled plan that captured it — drops. The envelope is
-// fully validated (magic/version/kind/end-marker/CRC) before a table is
-// returned; a corrupt or truncated file yields a Status and maps nothing
-// into the caller's model.
+// shared_ptr keep-alive): the file is unmapped when the last table handle
+// drops. The envelope is fully validated (magic/version/kind/end-marker/CRC)
+// before a table is returned; a corrupt or truncated file yields a Status
+// and maps nothing into the caller's model.
 //
 // This translation unit (embedding_store.cc) is the only place in src/ that
 // may call mmap/munmap — enforced by tools/lint.py (rule `mmap-isolation`).

@@ -15,7 +15,7 @@
 
 namespace armnet::serve {
 
-// Online drift monitoring for PredictionService (DESIGN.md §16).
+// Online drift monitoring for PredictionService (DESIGN.md §15).
 //
 // The monitor compares live traffic against the training-time
 // DriftReference embedded in the serving artifact along three axes:

@@ -11,7 +11,7 @@
 
 namespace armnet::serve {
 
-// Bulk scoring operator (DESIGN.md §16): a CSV of raw field cells in,
+// Bulk scoring operator (DESIGN.md §15): a CSV of raw field cells in,
 // a CSV of scored rows out, through the SAME PredictionService path live
 // traffic takes — validate → map → micro-batch queue → batched no-grad
 // forward — so bulk scoring exercises (and is protected by) the breaker,

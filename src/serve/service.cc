@@ -8,6 +8,7 @@
 #include "nn/embedding.h"
 #include "nn/embedding_store.h"
 #include "nn/serialize.h"
+#include "tensor/quantized.h"
 #include "util/fault_injection.h"
 #include "util/string_util.h"
 
@@ -159,20 +160,6 @@ PredictionService::PredictionService(models::TabularModel* model,
   if (standby != nullptr) standby->SetTraining(false);
   if (fallback != nullptr) fallback->SetTraining(false);
   if (shadow != nullptr) shadow->SetTraining(false);
-  // Compiled inference per model slot. Warming the active slot at the
-  // micro-batch cap front-loads the most common trace; other batch sizes
-  // compile lazily on first sight. A failed warm is an incident, not an
-  // error: those batches serve interpreted.
-  predictors_[0] = std::make_unique<plan::CompiledPredictor>(model);
-  if (standby != nullptr) {
-    predictors_[1] = std::make_unique<plan::CompiledPredictor>(standby);
-  }
-  Status warmed =
-      predictors_[0]->Warm(options_.max_batch_size, space_.num_fields());
-  if (!warmed.ok()) {
-    RecordIncident("compiled-plan warm failed, serving interpreted: " +
-                   warmed.message());
-  }
   if (options_.start_worker) {
     MutexLock lock(shutdown_mutex_);
     for (int i = 0; i < options_.num_workers; ++i) {
@@ -481,7 +468,7 @@ void PredictionService::ProcessBatch(
   // forward — never a lock. A concurrent reload stages into the other slot.
   int slot = 0;
   models::TabularModel* model = AcquireActiveModel(&slot);
-  const bool finite = ForwardBatch(*model, slot, b, &logits);
+  const bool finite = ForwardBatch(*model, b, &logits);
   ReleaseActiveModel(slot);
   if (!finite) {
     // The attempt still counts as a batch (the breaker-open path above does
@@ -536,35 +523,23 @@ data::Batch PredictionService::AssembleBatch(
   return b;
 }
 
-bool PredictionService::ForwardBatch(models::TabularModel& model, int slot,
+bool PredictionService::ForwardBatch(models::TabularModel& model,
                                      const data::Batch& b,
                                      std::vector<float>* logits) {
   ARMNET_PROFILE_SCOPE("serve/Forward");
   // The model is in eval mode for the service's lifetime and the caller
   // holds an RCU reader reference (reloads stage only into reader-free
-  // slots), so the forward is a pure read — safe concurrently from every
-  // worker.
-  //
-  // Fast path: the slot's compiled plan replays the forward out of its
-  // preallocated arena. TryRun compiles on a batch-size miss (which is why
-  // it runs outside the pool scope below — tracing needs unpooled storage)
-  // and refuses whenever compiled execution is unavailable; then the
-  // interpreted tape-free + pooled forward answers instead.
-  bool served = false;
-  if (slot >= 0 && predictors_[slot] != nullptr) {
-    served = predictors_[slot]->TryRun(b, logits);
-  }
-  if (!served) {
-    NoGradGuard no_grad;
-    ScopedTensorPool scoped_pool(pool_);
-    Rng rng(0);  // eval mode uses no randomness
-    Variable out = model.Forward(b, rng);
-    const Tensor& values = out.value();
-    if (values.numel() != b.batch_size) return false;
-    logits->resize(static_cast<size_t>(b.batch_size));
-    for (int64_t i = 0; i < values.numel(); ++i) {
-      (*logits)[static_cast<size_t>(i)] = values[i];
-    }
+  // slots), so the tape-free, pooled forward is a pure read — safe
+  // concurrently from every worker.
+  NoGradGuard no_grad;
+  ScopedTensorPool scoped_pool(pool_);
+  Rng rng(0);  // eval mode uses no randomness
+  Variable out = model.Forward(b, rng);
+  const Tensor& values = out.value();
+  if (values.numel() != b.batch_size) return false;
+  logits->resize(static_cast<size_t>(b.batch_size));
+  for (int64_t i = 0; i < values.numel(); ++i) {
+    (*logits)[static_cast<size_t>(i)] = values[i];
   }
   bool finite = true;
   for (const float logit : *logits) {
@@ -582,7 +557,7 @@ void PredictionService::Degrade(
     std::vector<float> logits;
     // The fallback is never reloaded, so concurrent degraded forwards
     // through it are pure reads — no lock, no reader reference needed.
-    const bool finite = ForwardBatch(*fallback_, /*slot=*/-1, b, &logits);
+    const bool finite = ForwardBatch(*fallback_, b, &logits);
     if (finite) {
       ARMNET_PROFILE_COUNT("serve/degraded_fallback",
                            static_cast<int64_t>(batch.size()));
@@ -729,7 +704,7 @@ void PredictionService::MirrorToShadow(const data::Batch& b,
     // weights; re-check activation now that the lock is held.
     MutexLock lock(shadow_mutex_);
     if (!shadow_active_.load(std::memory_order_relaxed)) return;
-    finite = ForwardBatch(*shadow_slot_, /*slot=*/-1, b, &shadow_logits);
+    finite = ForwardBatch(*shadow_slot_, b, &shadow_logits);
   }
   CounterShard& shard = *shards_[static_cast<size_t>(shard_index)];
   if (!finite) {
@@ -945,27 +920,8 @@ Status PredictionService::ReloadModel(const std::string& path) {
     if (status.ok()) {
       slots_[idle]->SetTraining(false);
       // A quantized store pairs with the weights it was exported from;
-      // fresh weights make it stale, so it comes off before the restage
-      // (the recompiled plans must not capture the old quantized gather).
+      // fresh weights make it stale, so it comes off before the publish.
       stores_detached = DetachEmbeddingStores(*slots_[idle]);
-      // Restage the idle slot's compiled plans against the fresh weights
-      // BEFORE the publish: old plans referenced the overwritten tensors,
-      // and recompiling now keeps the first post-swap batches off the
-      // interpreted slow path. Warm failure is not fatal — the slot just
-      // serves interpreted until TryRun recompiles.
-      if (predictors_[idle] != nullptr) {
-        predictors_[idle]->Invalidate();
-        if (predictors_[1 - idle] != nullptr) {
-          for (int64_t bs : predictors_[1 - idle]->CachedBatchSizes()) {
-            Status warmed = predictors_[idle]->Warm(bs, space_.num_fields());
-            if (!warmed.ok()) {
-              RecordIncident("compiled-plan restage failed on reload: " +
-                             warmed.message());
-              break;
-            }
-          }
-        }
-      }
       // RCU publish: the next AcquireActiveModel serves the new weights.
       MutexLock lock(model_mutex_);
       active_index_ = idle;
@@ -983,18 +939,6 @@ Status PredictionService::ReloadModel(const std::string& path) {
     if (status.ok()) {
       slots_[0]->SetTraining(false);
       stores_detached = DetachEmbeddingStores(*slots_[0]);
-      if (predictors_[0] != nullptr) {
-        const std::vector<int64_t> sizes = predictors_[0]->CachedBatchSizes();
-        predictors_[0]->Invalidate();
-        for (int64_t bs : sizes) {
-          Status warmed = predictors_[0]->Warm(bs, space_.num_fields());
-          if (!warmed.ok()) {
-            RecordIncident("compiled-plan restage failed on reload: " +
-                           warmed.message());
-            break;
-          }
-        }
-      }
     }
     {
       MutexLock lock(model_mutex_);
@@ -1024,7 +968,7 @@ Status PredictionService::ReloadModel(const std::string& path) {
   // must stop reporting the stale ones.
   {
     MutexLock guard(store_mutex_);
-    attached_stores_.clear();
+    stores_attached_ = 0;
   }
   if (stores_detached > 0) {
     RecordIncident(StrFormat(
@@ -1037,8 +981,7 @@ Status PredictionService::ReloadModel(const std::string& path) {
   return Status::Ok();
 }
 
-Status PredictionService::AttachEmbeddingStore(const std::string& path,
-                                               int64_t hot_row_cache_slots) {
+Status PredictionService::AttachEmbeddingStore(const std::string& path) {
   ARMNET_PROFILE_SCOPE("serve/AttachEmbeddingStore");
   MutexLock reload_lock(reload_mutex_);
   // Open and fully validate the file BEFORE quiescing anything: a corrupt
@@ -1052,7 +995,6 @@ Status PredictionService::AttachEmbeddingStore(const std::string& path,
     return opened.status();
   }
   std::shared_ptr<QuantizedTable> store = std::move(opened).value();
-  if (hot_row_cache_slots > 0) store->EnableHotRowCache(hot_row_cache_slots);
 
   // Quiesce in-flight forwards on both slots (the in-place-reload
   // protocol): Embedding::AttachStore swaps the lookup route that workers
@@ -1084,20 +1026,6 @@ Status PredictionService::AttachEmbeddingStore(const std::string& path,
         path.c_str(), static_cast<long long>(store->rows()),
         static_cast<long long>(store->width()),
         QuantKindName(store->kind())));
-  } else if (predictors_[active] != nullptr) {
-    // The slot's compiled plans captured the float32 gather; restage them
-    // so the compiled path serves the quantized store too. Warm failure is
-    // not fatal — TryRun recompiles on demand.
-    const std::vector<int64_t> sizes = predictors_[active]->CachedBatchSizes();
-    predictors_[active]->Invalidate();
-    for (int64_t bs : sizes) {
-      Status warmed = predictors_[active]->Warm(bs, space_.num_fields());
-      if (!warmed.ok()) {
-        RecordIncident("compiled-plan restage failed on store attach: " +
-                       warmed.message());
-        break;
-      }
-    }
   }
 
   {
@@ -1113,7 +1041,7 @@ Status PredictionService::AttachEmbeddingStore(const std::string& path,
   }
   {
     MutexLock guard(store_mutex_);
-    attached_stores_.push_back(store);
+    ++stores_attached_;
   }
   ARMNET_PROFILE_COUNT("serve/embedding_store_attached", 1);
   return Status::Ok();
@@ -1177,48 +1105,12 @@ std::vector<prof::CounterStats> PredictionService::CounterSnapshot() const {
   // Quantized embedding storage: one row even when nothing is attached, so
   // the run-metrics schema is stable across configurations.
   int64_t stores = 0;
-  int64_t hits = 0;
-  int64_t misses = 0;
   {
     MutexLock guard(store_mutex_);
-    stores = static_cast<int64_t>(attached_stores_.size());
-    for (const auto& store : attached_stores_) {
-      hits += static_cast<int64_t>(store->cache_hits());
-      misses += static_cast<int64_t>(store->cache_misses());
-    }
+    stores = stores_attached_;
   }
   snapshot.push_back({"serve/embedding_stores_attached", stores});
-  snapshot.push_back({"serve/embedding_cache_hits", hits});
-  snapshot.push_back({"serve/embedding_cache_misses", misses});
   return snapshot;
-}
-
-std::vector<prof::CounterStats> PredictionService::PlanCounterSnapshot() const {
-  plan::CompiledPredictor::Stats total;
-  for (const auto& predictor : predictors_) {
-    if (predictor == nullptr) continue;
-    const plan::CompiledPredictor::Stats s = predictor->stats();
-    total.plans += s.plans;
-    total.instructions += s.instructions;
-    total.fused_ops += s.fused_ops;
-    total.arena_bytes += s.arena_bytes;
-    total.compiles += s.compiles;
-    total.compile_failures += s.compile_failures;
-    total.executions += s.executions;
-    total.fallbacks += s.fallbacks;
-    total.invalidations += s.invalidations;
-  }
-  return {
-      {"plan/plans", total.plans},
-      {"plan/instructions", total.instructions},
-      {"plan/fused_ops", total.fused_ops},
-      {"plan/arena_bytes", total.arena_bytes},
-      {"plan/compiles", total.compiles},
-      {"plan/compile_failures", total.compile_failures},
-      {"plan/executions", total.executions},
-      {"plan/fallbacks", total.fallbacks},
-      {"plan/invalidations", total.invalidations},
-  };
 }
 
 std::vector<std::pair<std::string, double>> PredictionService::GaugeSnapshot()

@@ -12,12 +12,10 @@
 
 #include "core/tabular.h"
 #include "data/feature_space.h"
-#include "plan/compiled_predictor.h"
 #include "serve/batch_policy.h"
 #include "serve/circuit_breaker.h"
 #include "serve/drift_monitor.h"
 #include "serve/shadow.h"
-#include "tensor/quantized.h"
 #include "tensor/storage_pool.h"
 #include "util/clock.h"
 #include "util/profiler.h"
@@ -51,27 +49,14 @@ namespace armnet::serve {
 //              model if configured, else the train-prior logit, else
 //              kUnavailable — a typed answer in every case
 //
-// Workers serve from COMPILED plans (src/plan/): each model slot owns a
-// CompiledPredictor whose static execution plan replays the eval forward out
-// of a preallocated arena — zero tensor allocations at steady state, bit-
-// identical logits to the interpreted forward. Any batch the plan cannot
-// serve (compile failed, uncovered op, plan_compile fault injected) falls
-// back to the interpreted NoGradGuard + pooled path in the same call —
-// compilation is an optimization, never an availability dependency. The
-// fallback model always runs interpreted.
-//
 // Weights hot-reload through the CRC-framed envelope. With a warm standby
 // configured, `ReloadModel` stages `LoadState` into the idle model copy off
 // the serving path and publishes it with an RCU-style swap — workers never
 // wait on a reload, and a corrupt file leaves the active copy untouched.
 // Without a standby the legacy in-place reload quiesces the forwards for
-// the duration of the stage. A successful reload also restages the slot's
-// compiled plans: the staged slot's plan cache is invalidated (plans capture
-// weights by reference) and the batch sizes live in the outgoing slot's
-// cache are recompiled off-path before the RCU publish, so the swap lands
-// with warm plans.
+// the duration of the stage.
 //
-// Drift monitoring and shadow deployment (DESIGN.md §16) close the loop
+// Drift monitoring and shadow deployment (DESIGN.md §15) close the loop
 // around the served model. When the serving artifact carries a
 // DriftReference, a DriftMonitor tracks sliding-window per-field OOV/clamp
 // rates and score-distribution PSI against it, updated and evaluated only
@@ -313,14 +298,10 @@ class PredictionService {
   // Opens the mmap-backed quantized embedding store at `path` (serialize-v2
   // kind kStateKindEmbeddingStore) and attaches it to every Embedding in
   // the ACTIVE model whose geometry matches; subsequent no-grad forwards
-  // dequantize-on-gather from the shared mapping. `hot_row_cache_slots` > 0
-  // additionally enables the dequantized hot-row cache (hit/miss counters
-  // surface in CounterSnapshot). A corrupt/truncated/mismatched file leaves
-  // the model untouched and returns the error. The swap quiesces in-flight
-  // forwards (the in-place-reload protocol) and restages the slot's
-  // compiled plans so they capture the quantized gather.
-  Status AttachEmbeddingStore(const std::string& path,
-                              int64_t hot_row_cache_slots = 0)
+  // dequantize-on-gather from the shared mapping. A corrupt/truncated/
+  // mismatched file leaves the model untouched and returns the error. The
+  // swap quiesces in-flight forwards (the in-place-reload protocol).
+  Status AttachEmbeddingStore(const std::string& path)
       ARMNET_EXCLUDES(reload_mutex_, model_mutex_);
 
   // Stages a candidate model into the shadow slot from a CRC-framed state
@@ -373,10 +354,6 @@ class PredictionService {
   // Counter snapshot in the profiler's CounterStats shape, for embedding
   // into armor::RunMetrics ("serve" section of the run-metrics JSON).
   std::vector<prof::CounterStats> CounterSnapshot() const;
-  // Compiled-plan statistics merged across the model slots, for the
-  // run-metrics "plan" section (instructions, fused ops, arena bytes,
-  // executions, fallbacks, ...).
-  std::vector<prof::CounterStats> PlanCounterSnapshot() const;
   // Continuous operating-point gauges (adaptive batch wait, windowed p99),
   // for the run-metrics "serve_gauges" section.
   std::vector<std::pair<std::string, double>> GaugeSnapshot() const;
@@ -411,12 +388,11 @@ class PredictionService {
   data::Batch AssembleBatch(
       const std::vector<std::shared_ptr<PendingPrediction>>& batch) const;
   // Forwards the assembled batch through `model`; returns false if any
-  // logit came back non-finite. `slot` >= 0 serves from that slot's
-  // compiled plan when available, falling back to the interpreted
-  // NoGradGuard + pooled forward (always used for the fallback model,
-  // slot = -1). The caller must hold a reader reference on the slot `model`
-  // came from (or, for the fallback, rely on it never being mutated).
-  bool ForwardBatch(models::TabularModel& model, int slot,
+  // logit came back non-finite. Runs interpreted under NoGradGuard with
+  // the service's TensorPool. The caller must hold a reader reference on
+  // the slot `model` came from (or, for the fallback and shadow, rely on
+  // it never being mutated concurrently).
+  bool ForwardBatch(models::TabularModel& model,
                     const data::Batch& b, std::vector<float>* logits);
   void Degrade(const std::vector<std::shared_ptr<PendingPrediction>>& batch,
                CounterShard& shard, const std::string& why)
@@ -461,9 +437,6 @@ class PredictionService {
   // which the annotations cannot express — the soak test under TSan is the
   // dynamic check.
   models::TabularModel* slots_[2];
-  // Compiled-plan frontends, one per configured model slot (null where the
-  // slot is). Internally synchronized; invalidated + restaged by reloads.
-  std::unique_ptr<plan::CompiledPredictor> predictors_[2];
   // Never reloaded, so never mutated: concurrent degraded forwards through
   // it are pure reads.
   models::TabularModel* fallback_;
@@ -503,12 +476,10 @@ class PredictionService {
   mutable Mutex incidents_mutex_;
   std::vector<std::string> incidents_ ARMNET_GUARDED_BY(incidents_mutex_);
 
-  // Quantized stores attached to the active model, held for the cache
-  // hit/miss counter snapshot (leaf mutex; the tables themselves are
-  // internally synchronized and co-owned by the Embeddings/plans).
+  // Quantized stores attached to the active model since the last reload,
+  // for the serve/embedding_stores_attached counter (leaf mutex).
   mutable Mutex store_mutex_;
-  std::vector<std::shared_ptr<const QuantizedTable>> attached_stores_
-      ARMNET_GUARDED_BY(store_mutex_);
+  int64_t stores_attached_ ARMNET_GUARDED_BY(store_mutex_) = 0;
 
   // Drift monitor (always constructed; a space without a DriftReference
   // yields a disabled monitor whose methods are cheap no-ops). Internally

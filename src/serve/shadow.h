@@ -8,7 +8,7 @@
 
 namespace armnet::serve {
 
-// Shadow-deployment policy knobs (DESIGN.md §16). A candidate model staged
+// Shadow-deployment policy knobs (DESIGN.md §15). A candidate model staged
 // via PredictionService::LoadShadowModel sees a mirrored fraction of live
 // batches off the request critical path; PromoteShadow publishes it through
 // the normal RCU reload only when the accumulated score deltas sit inside

@@ -76,11 +76,11 @@ void Entmax15Row(const float* z, float* p, int64_t d) {
 // becomes an all-NaN row without reaching the solver: NaN breaks std::sort's
 // strict weak ordering, which is undefined behaviour.
 template <typename RowFn>
-void ApplyRowsOut(const Tensor& z, Tensor& out, RowFn row_fn) {
+Tensor ApplyRows(const Tensor& z, RowFn row_fn) {
   ARMNET_CHECK_GE(z.rank(), 1);
-  ARMNET_DCHECK(z.shape() == out.shape());
   const int64_t d = z.dim(-1);
   ARMNET_CHECK_GT(d, 0);
+  Tensor out(z.shape());
   const int64_t rows = z.numel() / d;
   for (int64_t r = 0; r < rows; ++r) {
     const float* zr = z.data() + r * d;
@@ -91,12 +91,6 @@ void ApplyRowsOut(const Tensor& z, Tensor& out, RowFn row_fn) {
       std::fill(pr, pr + d, std::numeric_limits<float>::quiet_NaN());
     }
   }
-}
-
-template <typename RowFn>
-Tensor ApplyRows(const Tensor& z, RowFn row_fn) {
-  Tensor out(z.shape());
-  ApplyRowsOut(z, out, row_fn);
   return out;
 }
 
@@ -108,32 +102,16 @@ Tensor Entmax15ExactLastDim(const Tensor& z) {
   return ApplyRows(z, Entmax15Row);
 }
 
-void EntmaxLastDimOut(const Tensor& z, float alpha, Tensor& out) {
-  ARMNET_CHECK_GE(alpha, 1.0f) << "entmax requires alpha >= 1";
-  if (alpha == 1.0f) {
-    SoftmaxLastDimOut(z, out);
-    return;
-  }
-  if (alpha == 2.0f) {
-    ApplyRowsOut(z, out, SparsemaxRow);
-    return;
-  }
-  if (alpha == 1.5f) {
-    ApplyRowsOut(z, out, Entmax15Row);
-    return;
-  }
-  ARMNET_CHECK_GE(z.rank(), 1);
-  ARMNET_DCHECK(z.shape() == out.shape());
-  const int64_t d = z.dim(-1);
-  ARMNET_CHECK_GT(d, 0);
-  kernels::EntmaxRows(z.data(), out.data(), z.numel() / d, d, alpha);
-}
-
 Tensor EntmaxLastDim(const Tensor& z, float alpha) {
   ARMNET_CHECK_GE(alpha, 1.0f) << "entmax requires alpha >= 1";
   if (alpha == 1.0f) return SoftmaxLastDim(z);
+  if (alpha == 2.0f) return SparsemaxLastDim(z);
+  if (alpha == 1.5f) return Entmax15ExactLastDim(z);
+  ARMNET_CHECK_GE(z.rank(), 1);
+  const int64_t d = z.dim(-1);
+  ARMNET_CHECK_GT(d, 0);
   Tensor out(z.shape());
-  EntmaxLastDimOut(z, alpha, out);
+  kernels::EntmaxRows(z.data(), out.data(), z.numel() / d, d, alpha);
   return out;
 }
 

@@ -4,9 +4,7 @@
 #include "tensor/tensor.h"
 
 // Value-level α-entmax solvers over the last dimension (Peters, Niculae,
-// Martins — ACL 2019). The differentiable wrapper lives in autograd/entmax.h;
-// these tensor-layer kernels are shared by the autograd forward and the
-// execution-plan VM (src/plan/), which keeps the two paths bit-identical.
+// Martins — ACL 2019). The differentiable wrapper lives in autograd/entmax.h.
 //
 //   * α = 1: closed-form softmax,
 //   * α = 2: exact sort-based sparsemax (Martins & Astudillo 2016),
@@ -22,9 +20,6 @@ namespace armnet::tmath {
 
 // α-entmax over the last dimension. Requires alpha >= 1.
 Tensor EntmaxLastDim(const Tensor& z, float alpha);
-// Destination-passing form; `out` must match `z`'s shape and must not alias
-// it (row solvers stash intermediate state in the output buffer).
-void EntmaxLastDimOut(const Tensor& z, float alpha, Tensor& out);
 
 // Exact sparsemax (α = 2) over the last dimension.
 Tensor SparsemaxLastDim(const Tensor& z);

@@ -10,15 +10,6 @@
 
 namespace armnet {
 
-namespace {
-
-// Shard count is a power of two so both cache index computations stay
-// shift/mask; 16 shards keeps lock contention negligible for the serving
-// pool sizes the repo runs (<= 8 workers).
-constexpr int64_t kCacheShards = 16;
-
-}  // namespace
-
 const char* QuantKindName(QuantKind kind) {
   switch (kind) {
     case QuantKind::kFloat32:
@@ -155,22 +146,6 @@ void QuantizedTable::DequantizeRow(int64_t id, float* out) const {
   }
 }
 
-void QuantizedTable::CachedRow(int64_t id, float* out) const {
-  Cache* cache = cache_.get();
-  CacheShard& shard = *cache->shards[id % kCacheShards];
-  const int64_t slot = (id / kCacheShards) % cache->slots_per_shard;
-  MutexLock lock(shard.mu);
-  float* slot_row = shard.slot_row.data() + slot * width_;
-  if (shard.slot_id[slot] == id) {
-    cache->hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    cache->misses.fetch_add(1, std::memory_order_relaxed);
-    DequantizeRow(id, slot_row);
-    shard.slot_id[slot] = id;
-  }
-  std::memcpy(out, slot_row, width_ * sizeof(float));
-}
-
 void QuantizedTable::GatherRowsOut(const std::vector<int64_t>& ids,
                                    Tensor& out) const {
   ARMNET_DCHECK(out.dim(0) == static_cast<int64_t>(ids.size()) &&
@@ -178,12 +153,6 @@ void QuantizedTable::GatherRowsOut(const std::vector<int64_t>& ids,
   tmath::CheckRowIds(ids, rows_, "QuantizedGatherRows");
   if (ids.empty() || width_ == 0) return;
   float* dst = out.data();
-  if (cache_ != nullptr) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      CachedRow(ids[i], dst + static_cast<int64_t>(i) * width_);
-    }
-    return;
-  }
   for (size_t i = 0; i < ids.size(); ++i) {
     DequantizeRow(ids[i], dst + static_cast<int64_t>(i) * width_);
   }
@@ -193,31 +162,6 @@ Tensor QuantizedTable::GatherRows(const std::vector<int64_t>& ids) const {
   Tensor out{Shape({static_cast<int64_t>(ids.size()), width_})};
   GatherRowsOut(ids, out);
   return out;
-}
-
-void QuantizedTable::EnableHotRowCache(int64_t slots) {
-  ARMNET_CHECK_GT(slots, 0);
-  auto cache = std::make_unique<Cache>();
-  cache->slots_per_shard = (slots + kCacheShards - 1) / kCacheShards;
-  cache->shards.reserve(kCacheShards);
-  for (int64_t s = 0; s < kCacheShards; ++s) {
-    auto shard = std::make_unique<CacheShard>();
-    {
-      MutexLock lock(shard->mu);
-      shard->slot_id.assign(cache->slots_per_shard, -1);
-      shard->slot_row.assign(cache->slots_per_shard * width_, 0.0f);
-    }
-    cache->shards.push_back(std::move(shard));
-  }
-  cache_ = std::move(cache);
-}
-
-uint64_t QuantizedTable::cache_hits() const {
-  return cache_ ? cache_->hits.load(std::memory_order_relaxed) : 0;
-}
-
-uint64_t QuantizedTable::cache_misses() const {
-  return cache_ ? cache_->misses.load(std::memory_order_relaxed) : 0;
 }
 
 }  // namespace armnet

@@ -1,17 +1,15 @@
 #ifndef ARMNET_TENSOR_QUANTIZED_H_
 #define ARMNET_TENSOR_QUANTIZED_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "tensor/half.h"
 #include "tensor/tensor.h"
-#include "util/sync.h"
 
 // Read-only quantized embedding-table storage for the no-grad serving path
-// (DESIGN.md §15). Training always runs on the float32 nn::Embedding table;
+// (DESIGN.md §14). Training always runs on the float32 nn::Embedding table;
 // a QuantizedTable is produced at export time (Quantize) or opened over a
 // memory-mapped weight file (FromRaw with an owner keep-alive) and attached
 // to an Embedding for inference.
@@ -57,11 +55,10 @@ class QuantizedTable {
 
   // Dequantizes the selected rows into `out` ([ids.size(), width], float32).
   // Every id must be in [0, rows()); aborts naming the first offender.
-  // Routes through the hot-row cache when one is enabled.
   void GatherRowsOut(const std::vector<int64_t>& ids, Tensor& out) const;
   Tensor GatherRows(const std::vector<int64_t>& ids) const;
 
-  // Dequantizes one row straight from backing storage, bypassing the cache.
+  // Dequantizes one row straight from backing storage.
   void DequantizeRow(int64_t id, float* out) const;
 
   int64_t rows() const { return rows_; }
@@ -75,33 +72,8 @@ class QuantizedTable {
   // Per-row fp16 scales (kInt8 only; null for other kinds).
   const half_t* scales() const { return scales_; }
 
-  // Installs a sharded direct-mapped cache of dequantized rows with at
-  // least `slots` total entries. Not thread-safe against concurrent
-  // gathers: enable at attach time, before the table serves traffic.
-  void EnableHotRowCache(int64_t slots);
-  bool cache_enabled() const { return cache_ != nullptr; }
-  uint64_t cache_hits() const;
-  uint64_t cache_misses() const;
-
  private:
   QuantizedTable() = default;
-
-  // One direct-mapped cache shard; rows hash to a shard by id so concurrent
-  // gathers over a skewed distribution contend on different locks.
-  struct CacheShard {
-    Mutex mu;
-    std::vector<int64_t> slot_id ARMNET_GUARDED_BY(mu);  // -1 == empty
-    std::vector<float> slot_row ARMNET_GUARDED_BY(mu);
-  };
-  struct Cache {
-    int64_t slots_per_shard = 0;
-    std::vector<std::unique_ptr<CacheShard>> shards;
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-  };
-
-  // Copies row `id` out of the cache, filling the slot on a miss.
-  void CachedRow(int64_t id, float* out) const;
 
   QuantKind kind_ = QuantKind::kFloat32;
   int64_t rows_ = 0;
@@ -116,8 +88,6 @@ class QuantizedTable {
   std::vector<float> own_f32_;
   std::vector<half_t> own_scales_;
   std::shared_ptr<const void> owner_;
-
-  std::unique_ptr<Cache> cache_;
 };
 
 }  // namespace armnet

@@ -106,8 +106,6 @@ std::shared_ptr<std::vector<float>> AllocateStorage(size_t n, bool zero) {
                                              PoolReturn{core, bucket});
 }
 
-bool PoolActive() { return g_active_pool != nullptr; }
-
 }  // namespace tensor_internal
 
 TensorPool::TensorPool()

@@ -15,7 +15,7 @@
 //
 // Opt-in and scoped: nothing changes until a ScopedTensorPool installs a
 // pool for the current thread. The pool object itself is thread-safe — the
-// same TensorPool may be installed on many threads at once (e.g. ParallelFor
+// same TensorPool may be installed on many threads at once (e.g. serving
 // workers) — while installation is per-thread, so one thread's scope never
 // reroutes another thread's allocations.
 //
@@ -34,12 +34,6 @@ struct PoolCore;
 // elements read 0.0f (recycled buffers hold stale data); pass false only
 // when the caller overwrites every element.
 std::shared_ptr<std::vector<float>> AllocateStorage(size_t n, bool zero);
-
-// True when the calling thread currently routes allocations through a pool.
-// The plan tracer refuses to run under one: its slot identity keying relies
-// on every op output getting fresh storage, and a recycling pool can hand
-// the same pointer to two distinct traced values.
-bool PoolActive();
 
 }  // namespace tensor_internal
 

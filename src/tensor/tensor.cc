@@ -16,17 +16,6 @@ Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
       static_cast<size_t>(shape_.numel()), /*zero=*/true);
 }
 
-Tensor Tensor::Uninitialized(Shape shape) {
-  for (int64_t d : shape.dims()) {
-    ARMNET_CHECK_GE(d, 0) << "cannot allocate shape " << shape.ToString();
-  }
-  Tensor t;
-  t.shape_ = std::move(shape);
-  t.storage_ = tensor_internal::AllocateStorage(
-      static_cast<size_t>(t.shape_.numel()), /*zero=*/false);
-  return t;
-}
-
 Tensor Tensor::Full(Shape shape, float value) {
   Tensor t(std::move(shape));
   t.Fill(value);
@@ -86,21 +75,6 @@ Tensor Tensor::Reshape(Shape shape) const {
   Tensor view;
   view.storage_ = storage_;
   view.shape_ = std::move(resolved);
-  view.offset_ = offset_;
-  return view;
-}
-
-Tensor Tensor::ViewSlice(int64_t offset, Shape shape) const {
-  ARMNET_CHECK(defined());
-  ARMNET_CHECK_GE(offset, 0);
-  ARMNET_CHECK_LE(offset_ + offset + shape.numel(),
-                  static_cast<int64_t>(storage_->size()))
-      << "ViewSlice [" << offset << ", +" << shape.numel()
-      << ") escapes storage of " << storage_->size() << " elements";
-  Tensor view;
-  view.storage_ = storage_;
-  view.shape_ = std::move(shape);
-  view.offset_ = offset_ + offset;
   return view;
 }
 

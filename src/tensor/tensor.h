@@ -16,11 +16,9 @@ namespace armnet {
 // row-major storage.
 //
 // Copying a Tensor is cheap (shared storage); Reshape() returns a view onto
-// the same storage, and ViewSlice() a view at a nonzero element offset into
-// it (the execution-plan arena packs many intermediates into one buffer this
-// way). Mutating through data() is visible to all views, which the autograd
-// engine exploits for in-place gradient accumulation. Ops that need an
-// independent buffer call Clone().
+// the same storage. Mutating through data() is visible to all views, which
+// the autograd engine exploits for in-place gradient accumulation. Ops that
+// need an independent buffer call Clone().
 class Tensor {
  public:
   // Default-constructed tensors are empty (rank 0, 1 element is NOT implied;
@@ -35,11 +33,6 @@ class Tensor {
   // --- Factories ---------------------------------------------------------
 
   static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
-  // Like Tensor(Shape) but skips the zero fill: recycled pool buffers keep
-  // their stale contents. Only for buffers every element of which the caller
-  // overwrites before reading (the plan arena's fully-written slots); all
-  // other acquisition paths keep the zeroing contract.
-  static Tensor Uninitialized(Shape shape);
   static Tensor Ones(Shape shape) { return Full(std::move(shape), 1.0f); }
   static Tensor Full(Shape shape, float value);
   // Rank-0 scalar.
@@ -60,11 +53,11 @@ class Tensor {
 
   float* data() {
     ARMNET_DCHECK(storage_ != nullptr);
-    return storage_->data() + offset_;
+    return storage_->data();
   }
   const float* data() const {
     ARMNET_DCHECK(storage_ != nullptr);
-    return storage_->data() + offset_;
+    return storage_->data();
   }
 
   // Flat element access.
@@ -109,13 +102,8 @@ class Tensor {
   // --- Transformations ----------------------------------------------------
 
   // View with a new shape over the same storage; element count must match.
-  // One dimension may be -1 and is inferred. Preserves this view's offset.
+  // One dimension may be -1 and is inferred.
   Tensor Reshape(Shape shape) const;
-
-  // View of `shape` starting `offset` elements into THIS view (offsets
-  // compose). The window [offset, offset + shape.numel()) must stay inside
-  // the underlying storage. Shares storage: writes are visible to all views.
-  Tensor ViewSlice(int64_t offset, Shape shape) const;
 
   // Deep copy with independent storage.
   Tensor Clone() const;
@@ -133,8 +121,6 @@ class Tensor {
 
   std::shared_ptr<std::vector<float>> storage_;
   Shape shape_;
-  // Element offset of this view into storage_ (0 for whole-buffer tensors).
-  int64_t offset_ = 0;
 };
 
 }  // namespace armnet

@@ -44,18 +44,14 @@ std::vector<int64_t> BroadcastStrides(const Shape& shape, const Shape& out) {
   return off;
 }
 
-// Generic broadcasting binary loop into a preshaped destination. Walks the
-// output in row-major order with an odometer, maintaining input offsets
-// incrementally. An input whose shape equals the output shape may alias
-// `out`: its read offset then tracks the write index exactly, so each
-// element is read before it is overwritten.
+// Generic broadcasting binary loop. Walks the output in row-major order with
+// an odometer, maintaining input offsets incrementally.
 template <typename Fn>
-void BroadcastBinaryOut(const Tensor& a, const Tensor& b, Tensor& out,
-                        Fn fn) {
-  const Shape& out_shape = out.shape();
-  ARMNET_DCHECK(Shape::Broadcast(a.shape(), b.shape()) == out_shape);
+Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fn fn) {
+  const Shape out_shape = Shape::Broadcast(a.shape(), b.shape());
+  Tensor out(out_shape);
   const int64_t n = out.numel();
-  if (n == 0) return;
+  if (n == 0) return out;
 
   // Fast path: identical shapes, plain contiguous walk.
   if (a.shape() == b.shape()) {
@@ -63,7 +59,7 @@ void BroadcastBinaryOut(const Tensor& a, const Tensor& b, Tensor& out,
     const float* pb = b.data();
     float* po = out.data();
     for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
-    return;
+    return out;
   }
 
   const int rank = out_shape.rank();
@@ -92,118 +88,69 @@ void BroadcastBinaryOut(const Tensor& a, const Tensor& b, Tensor& out,
       index[ud] = 0;
     }
   }
-}
-
-template <typename Fn>
-Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fn fn) {
-  Tensor out{Shape::Broadcast(a.shape(), b.shape())};
-  BroadcastBinaryOut(a, b, out, fn);
   return out;
-}
-
-template <typename Fn>
-void UnaryOut(const Tensor& a, Tensor& out, Fn fn) {
-  ARMNET_DCHECK(a.shape() == out.shape());
-  const float* pa = a.data();
-  float* po = out.data();
-  const int64_t n = a.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i]);
 }
 
 template <typename Fn>
 Tensor Unary(const Tensor& a, Fn fn) {
   Tensor out(a.shape());
-  UnaryOut(a, out, fn);
+  const float* pa = a.data();
+  float* po = out.data();
+  const int64_t n = a.numel();
+  for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i]);
   return out;
 }
 
 }  // namespace
 
-void AddOut(const Tensor& a, const Tensor& b, Tensor& out) {
-  if (a.shape() == b.shape()) {
-    ARMNET_DCHECK(out.shape() == a.shape());
-    kernels::VecAdd(a.data(), b.data(), out.data(), a.numel());
-    return;
-  }
-  BroadcastBinaryOut(a, b, out, [](float x, float y) { return x + y; });
-}
-
 Tensor Add(const Tensor& a, const Tensor& b) {
-  Tensor out{Shape::Broadcast(a.shape(), b.shape())};
-  AddOut(a, b, out);
-  return out;
-}
-
-void SubOut(const Tensor& a, const Tensor& b, Tensor& out) {
   if (a.shape() == b.shape()) {
-    ARMNET_DCHECK(out.shape() == a.shape());
-    kernels::VecSub(a.data(), b.data(), out.data(), a.numel());
-    return;
+    Tensor out(a.shape());
+    kernels::VecAdd(a.data(), b.data(), out.data(), a.numel());
+    return out;
   }
-  BroadcastBinaryOut(a, b, out, [](float x, float y) { return x - y; });
+  return BroadcastBinary(a, b, [](float x, float y) { return x + y; });
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  Tensor out{Shape::Broadcast(a.shape(), b.shape())};
-  SubOut(a, b, out);
-  return out;
-}
-
-void MulOut(const Tensor& a, const Tensor& b, Tensor& out) {
   if (a.shape() == b.shape()) {
-    ARMNET_DCHECK(out.shape() == a.shape());
-    kernels::VecMul(a.data(), b.data(), out.data(), a.numel());
-    return;
+    Tensor out(a.shape());
+    kernels::VecSub(a.data(), b.data(), out.data(), a.numel());
+    return out;
   }
-  BroadcastBinaryOut(a, b, out, [](float x, float y) { return x * y; });
+  return BroadcastBinary(a, b, [](float x, float y) { return x - y; });
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  Tensor out{Shape::Broadcast(a.shape(), b.shape())};
-  MulOut(a, b, out);
-  return out;
-}
-
-void DivOut(const Tensor& a, const Tensor& b, Tensor& out) {
   if (a.shape() == b.shape()) {
-    ARMNET_DCHECK(out.shape() == a.shape());
-    kernels::VecDiv(a.data(), b.data(), out.data(), a.numel());
-    return;
+    Tensor out(a.shape());
+    kernels::VecMul(a.data(), b.data(), out.data(), a.numel());
+    return out;
   }
-  BroadcastBinaryOut(a, b, out, [](float x, float y) { return x / y; });
+  return BroadcastBinary(a, b, [](float x, float y) { return x * y; });
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
-  Tensor out{Shape::Broadcast(a.shape(), b.shape())};
-  DivOut(a, b, out);
-  return out;
+  if (a.shape() == b.shape()) {
+    Tensor out(a.shape());
+    kernels::VecDiv(a.data(), b.data(), out.data(), a.numel());
+    return out;
+  }
+  return BroadcastBinary(a, b, [](float x, float y) { return x / y; });
 }
 
 Tensor Maximum(const Tensor& a, const Tensor& b) {
   return BroadcastBinary(a, b, [](float x, float y) { return std::max(x, y); });
 }
 
-void AddScalarOut(const Tensor& a, float s, Tensor& out) {
-  UnaryOut(a, out, [s](float x) { return x + s; });
-}
-
 Tensor AddScalar(const Tensor& a, float s) {
   return Unary(a, [s](float x) { return x + s; });
 }
 
-void MulScalarOut(const Tensor& a, float s, Tensor& out) {
-  ARMNET_DCHECK(a.shape() == out.shape());
-  kernels::VecScale(a.data(), s, out.data(), a.numel());
-}
-
 Tensor MulScalar(const Tensor& a, float s) {
   Tensor out(a.shape());
-  MulScalarOut(a, s, out);
+  kernels::VecScale(a.data(), s, out.data(), a.numel());
   return out;
-}
-
-void PowScalarOut(const Tensor& a, float p, Tensor& out) {
-  UnaryOut(a, out, [p](float x) { return std::pow(x, p); });
 }
 
 Tensor PowScalar(const Tensor& a, float p) {
@@ -214,19 +161,10 @@ Tensor Neg(const Tensor& a) {
   return Unary(a, [](float x) { return -x; });
 }
 
-void ExpOut(const Tensor& a, Tensor& out) {
-  ARMNET_DCHECK(a.shape() == out.shape());
-  kernels::VecExp(a.data(), out.data(), a.numel());
-}
-
 Tensor Exp(const Tensor& a) {
   Tensor out(a.shape());
-  ExpOut(a, out);
+  kernels::VecExp(a.data(), out.data(), a.numel());
   return out;
-}
-
-void LogOut(const Tensor& a, Tensor& out) {
-  UnaryOut(a, out, [](float x) { return std::log(x); });
 }
 
 Tensor Log(const Tensor& a) {
@@ -235,10 +173,6 @@ Tensor Log(const Tensor& a) {
 
 Tensor Sqrt(const Tensor& a) {
   return Unary(a, [](float x) { return std::sqrt(x); });
-}
-
-void AbsOut(const Tensor& a, Tensor& out) {
-  UnaryOut(a, out, [](float x) { return std::abs(x); });
 }
 
 Tensor Abs(const Tensor& a) {
@@ -263,18 +197,8 @@ Tensor Tanh(const Tensor& a) {
 
 // NaN passes through, so a non-finite activation reaches the logits, where
 // the serving breaker looks for it.
-constexpr auto kRelu = [](float x) { return x <= 0 ? 0.0f : x; };
-
-void ReluOut(const Tensor& a, Tensor& out) { UnaryOut(a, out, kRelu); }
-
-Tensor Relu(const Tensor& a) { return Unary(a, kRelu); }
-
-void LeakyReluOut(const Tensor& a, float slope, Tensor& out) {
-  UnaryOut(a, out, [slope](float x) { return x > 0 ? x : slope * x; });
-}
-
-void ClampMinOut(const Tensor& a, float lo, Tensor& out) {
-  UnaryOut(a, out, [lo](float x) { return x < lo ? lo : x; });
+Tensor Relu(const Tensor& a) {
+  return Unary(a, [](float x) { return x <= 0 ? 0.0f : x; });
 }
 
 Tensor ClampMin(const Tensor& a, float lo) {
@@ -285,14 +209,7 @@ Tensor Clamp(const Tensor& a, float lo, float hi) {
   return Unary(a, [lo, hi](float x) { return std::clamp(x, lo, hi); });
 }
 
-void SquareOut(const Tensor& a, Tensor& out) {
-  // Matches the autograd Square forward, which is Mul(a, a): same kernel,
-  // same bits.
-  ARMNET_DCHECK(a.shape() == out.shape());
-  kernels::VecMul(a.data(), a.data(), out.data(), a.numel());
-}
-
-void MatMulOut(const Tensor& a, const Tensor& b, Tensor& out) {
+Tensor MatMul(const Tensor& a, const Tensor& b) {
   ARMNET_CHECK_GE(a.rank(), 2) << "MatMul lhs must be at least rank 2";
   ARMNET_CHECK_GE(b.rank(), 2) << "MatMul rhs must be at least rank 2";
   const int64_t m = a.dim(-2);
@@ -310,13 +227,13 @@ void MatMulOut(const Tensor& a, const Tensor& b, Tensor& out) {
   const Shape batch_a = batch_of(a.shape());
   const Shape batch_b = batch_of(b.shape());
   const Shape batch = Shape::Broadcast(batch_a, batch_b);
-
-  ARMNET_DCHECK(out.dim(-2) == m && out.dim(-1) == n &&
-                batch_of(out.shape()) == batch)
-      << "MatMulOut destination shape " << out.shape().ToString();
+  std::vector<int64_t> out_dims = batch.dims();
+  out_dims.push_back(m);
+  out_dims.push_back(n);
+  Tensor out{Shape(out_dims)};
 
   const int64_t batches = batch.numel();
-  if (batches == 0 || m == 0 || n == 0) return;
+  if (batches == 0 || m == 0 || n == 0) return out;
 
   // Per-batch strides (in matrices) with 0 on broadcast dims.
   const std::vector<int64_t> sa = BroadcastStrides(batch_a, batch);
@@ -344,40 +261,19 @@ void MatMulOut(const Tensor& a, const Tensor& b, Tensor& out) {
       index[ud] = 0;
     }
   }
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  ARMNET_CHECK_GE(a.rank(), 2) << "MatMul lhs must be at least rank 2";
-  ARMNET_CHECK_GE(b.rank(), 2) << "MatMul rhs must be at least rank 2";
-  auto batch_of = [](const Shape& s) {
-    std::vector<int64_t> dims(s.dims().begin(), s.dims().end() - 2);
-    return Shape(std::move(dims));
-  };
-  const Shape batch =
-      Shape::Broadcast(batch_of(a.shape()), batch_of(b.shape()));
-  std::vector<int64_t> out_dims = batch.dims();
-  out_dims.push_back(a.dim(-2));
-  out_dims.push_back(b.dim(-1));
-  Tensor out{Shape(out_dims)};
-  MatMulOut(a, b, out);
   return out;
 }
 
-void TransposeOut(const Tensor& a, int dim0, int dim1, Tensor& out) {
+Tensor Transpose(const Tensor& a, int dim0, int dim1) {
   const int rank = a.rank();
   if (dim0 < 0) dim0 += rank;
   if (dim1 < 0) dim1 += rank;
   ARMNET_CHECK(dim0 >= 0 && dim0 < rank && dim1 >= 0 && dim1 < rank);
-  if (dim0 == dim1) {
-    ARMNET_DCHECK(out.shape() == a.shape());
-    std::copy(a.data(), a.data() + a.numel(), out.data());
-    return;
-  }
-
+  if (dim0 == dim1) return a.Clone();
   std::vector<int64_t> out_dims = a.shape().dims();
   std::swap(out_dims[static_cast<size_t>(dim0)],
             out_dims[static_cast<size_t>(dim1)]);
-  ARMNET_DCHECK(out.shape() == Shape(out_dims));
+  Tensor out{Shape(out_dims)};
 
   // Input strides permuted into output order.
   std::vector<int64_t> in_strides = a.shape().Strides();
@@ -401,50 +297,36 @@ void TransposeOut(const Tensor& a, int dim0, int dim1, Tensor& out) {
       index[ud] = 0;
     }
   }
-}
-
-Tensor Transpose(const Tensor& a, int dim0, int dim1) {
-  const int rank = a.rank();
-  if (dim0 < 0) dim0 += rank;
-  if (dim1 < 0) dim1 += rank;
-  ARMNET_CHECK(dim0 >= 0 && dim0 < rank && dim1 >= 0 && dim1 < rank);
-  if (dim0 == dim1) return a.Clone();
-  std::vector<int64_t> out_dims = a.shape().dims();
-  std::swap(out_dims[static_cast<size_t>(dim0)],
-            out_dims[static_cast<size_t>(dim1)]);
-  Tensor out{Shape(out_dims)};
-  TransposeOut(a, dim0, dim1, out);
   return out;
-}
-
-void SumAllOut(const Tensor& a, Tensor& out) {
-  ARMNET_DCHECK_EQ(out.numel(), 1);
-  out.data()[0] = kernels::VecSum(a.data(), a.numel());
 }
 
 Tensor SumAll(const Tensor& a) {
   return Tensor::Scalar(kernels::VecSum(a.data(), a.numel()));
 }
 
-void SumOut(const Tensor& a, int axis, bool keepdim, Tensor& out) {
+Tensor Sum(const Tensor& a, int axis, bool keepdim) {
   const int rank = a.rank();
   if (axis < 0) axis += rank;
   ARMNET_CHECK(axis >= 0 && axis < rank);
+  std::vector<int64_t> out_dims;
+  for (int d = 0; d < rank; ++d) {
+    if (d == axis) {
+      if (keepdim) out_dims.push_back(1);
+    } else {
+      out_dims.push_back(a.dim(d));
+    }
+  }
+  Tensor out{Shape(out_dims)};
 
   int64_t outer = 1;
   for (int d = 0; d < axis; ++d) outer *= a.dim(d);
   const int64_t reduce = a.dim(axis);
   int64_t inner = 1;
   for (int d = axis + 1; d < rank; ++d) inner *= a.dim(d);
-  (void)keepdim;  // only affects the out shape, which the caller supplies
-  ARMNET_DCHECK_EQ(outer * inner, out.numel());
-
   ARMNET_DCHECK_EQ(outer * reduce * inner, a.numel());
   const float* pa = a.data();
   float* po = out.data();
-  // The reduction accumulates, so the destination window must start at zero
-  // (the allocating form gets this from the zero-filled constructor).
-  std::fill(po, po + out.numel(), 0.0f);
+  // Accumulates into the zero-filled output.
   for (int64_t o = 0; o < outer; ++o) {
     for (int64_t r = 0; r < reduce; ++r) {
       const float* src = pa + (o * reduce + r) * inner;
@@ -452,23 +334,6 @@ void SumOut(const Tensor& a, int axis, bool keepdim, Tensor& out) {
       kernels::VecAxpy(1.0f, src, dst, inner);
     }
   }
-}
-
-Tensor Sum(const Tensor& a, int axis, bool keepdim) {
-  const int rank = a.rank();
-  int resolved = axis;
-  if (resolved < 0) resolved += rank;
-  ARMNET_CHECK(resolved >= 0 && resolved < rank);
-  std::vector<int64_t> out_dims;
-  for (int d = 0; d < rank; ++d) {
-    if (d == resolved) {
-      if (keepdim) out_dims.push_back(1);
-    } else {
-      out_dims.push_back(a.dim(d));
-    }
-  }
-  Tensor out{Shape(out_dims)};
-  SumOut(a, resolved, keepdim, out);
   return out;
 }
 
@@ -535,25 +400,26 @@ Tensor BroadcastTo(const Tensor& a, const Shape& target) {
   return out;
 }
 
-void ConcatOut(const std::vector<const Tensor*>& parts, int axis,
-               Tensor& out) {
+Tensor Concat(const std::vector<Tensor>& parts, int axis) {
   ARMNET_CHECK(!parts.empty());
-  const int rank = parts.front()->rank();
+  const int rank = parts.front().rank();
   if (axis < 0) axis += rank;
   ARMNET_CHECK(axis >= 0 && axis < rank);
 
   int64_t total_axis = 0;
-  for (const Tensor* p : parts) {
-    ARMNET_CHECK_EQ(p->rank(), rank);
+  for (const Tensor& p : parts) {
+    ARMNET_CHECK_EQ(p.rank(), rank);
     for (int d = 0; d < rank; ++d) {
       if (d != axis) {
-        ARMNET_CHECK_EQ(p->dim(d), parts.front()->dim(d))
+        ARMNET_CHECK_EQ(p.dim(d), parts.front().dim(d))
             << "Concat: mismatched non-axis dimension " << d;
       }
     }
-    total_axis += p->dim(axis);
+    total_axis += p.dim(axis);
   }
-  ARMNET_DCHECK_EQ(out.dim(axis), total_axis);
+  std::vector<int64_t> out_dims = parts.front().shape().dims();
+  out_dims[static_cast<size_t>(axis)] = total_axis;
+  Tensor out{Shape(out_dims)};
 
   int64_t outer = 1;
   for (int d = 0; d < axis; ++d) outer *= out.dim(d);
@@ -561,45 +427,27 @@ void ConcatOut(const std::vector<const Tensor*>& parts, int axis,
   for (int d = axis + 1; d < rank; ++d) inner *= out.dim(d);
 
   int64_t axis_offset = 0;
-  for (const Tensor* p : parts) {
-    const int64_t p_axis = p->dim(axis);
+  for (const Tensor& p : parts) {
+    const int64_t p_axis = p.dim(axis);
     for (int64_t o = 0; o < outer; ++o) {
-      const float* src = p->data() + o * p_axis * inner;
+      const float* src = p.data() + o * p_axis * inner;
       float* dst = out.data() + (o * total_axis + axis_offset) * inner;
       std::copy(src, src + p_axis * inner, dst);
     }
     axis_offset += p_axis;
   }
-}
-
-Tensor Concat(const std::vector<Tensor>& parts, int axis) {
-  ARMNET_CHECK(!parts.empty());
-  const int rank = parts.front().rank();
-  int resolved = axis;
-  if (resolved < 0) resolved += rank;
-  ARMNET_CHECK(resolved >= 0 && resolved < rank);
-  int64_t total_axis = 0;
-  std::vector<const Tensor*> ptrs;
-  ptrs.reserve(parts.size());
-  for (const Tensor& p : parts) {
-    total_axis += p.dim(resolved);
-    ptrs.push_back(&p);
-  }
-  std::vector<int64_t> out_dims = parts.front().shape().dims();
-  out_dims[static_cast<size_t>(resolved)] = total_axis;
-  Tensor out{Shape(out_dims)};
-  ConcatOut(ptrs, resolved, out);
   return out;
 }
 
-void SliceOut(const Tensor& a, int axis, int64_t start, int64_t length,
-              Tensor& out) {
+Tensor Slice(const Tensor& a, int axis, int64_t start, int64_t length) {
   const int rank = a.rank();
   if (axis < 0) axis += rank;
   ARMNET_CHECK(axis >= 0 && axis < rank);
   ARMNET_CHECK(start >= 0 && length >= 0 && start + length <= a.dim(axis))
       << "Slice out of range on axis " << axis;
-  ARMNET_DCHECK_EQ(out.dim(axis), length);
+  std::vector<int64_t> out_dims = a.shape().dims();
+  out_dims[static_cast<size_t>(axis)] = length;
+  Tensor out{Shape(out_dims)};
 
   int64_t outer = 1;
   for (int d = 0; d < axis; ++d) outer *= a.dim(d);
@@ -613,27 +461,19 @@ void SliceOut(const Tensor& a, int axis, int64_t start, int64_t length,
     float* dst = out.data() + o * length * inner;
     std::copy(src, src + length * inner, dst);
   }
-}
-
-Tensor Slice(const Tensor& a, int axis, int64_t start, int64_t length) {
-  const int rank = a.rank();
-  int resolved = axis;
-  if (resolved < 0) resolved += rank;
-  ARMNET_CHECK(resolved >= 0 && resolved < rank);
-  std::vector<int64_t> out_dims = a.shape().dims();
-  out_dims[static_cast<size_t>(resolved)] = length;
-  Tensor out{Shape(out_dims)};
-  SliceOut(a, resolved, start, length, out);
   return out;
 }
 
-void IndexSelectOut(const Tensor& a, int axis,
-                    const std::vector<int64_t>& indices, Tensor& out) {
+Tensor IndexSelect(const Tensor& a, int axis,
+                   const std::vector<int64_t>& indices) {
   const int rank = a.rank();
   if (axis < 0) axis += rank;
   ARMNET_CHECK(axis >= 0 && axis < rank);
   const int64_t in_axis = a.dim(axis);
-  ARMNET_DCHECK_EQ(out.dim(axis), static_cast<int64_t>(indices.size()));
+  const int64_t count = static_cast<int64_t>(indices.size());
+  std::vector<int64_t> out_dims = a.shape().dims();
+  out_dims[static_cast<size_t>(axis)] = count;
+  Tensor out{Shape(out_dims)};
 
   int64_t outer = 1;
   for (int d = 0; d < axis; ++d) outer *= a.dim(d);
@@ -641,30 +481,15 @@ void IndexSelectOut(const Tensor& a, int axis,
   for (int d = axis + 1; d < rank; ++d) inner *= a.dim(d);
 
   for (int64_t o = 0; o < outer; ++o) {
-    for (size_t k = 0; k < indices.size(); ++k) {
-      const int64_t idx = indices[k];
+    for (int64_t k = 0; k < count; ++k) {
+      const int64_t idx = indices[static_cast<size_t>(k)];
       ARMNET_CHECK(idx >= 0 && idx < in_axis)
           << "IndexSelect index " << idx << " out of range";
       const float* src = a.data() + (o * in_axis + idx) * inner;
-      float* dst =
-          out.data() +
-          (o * static_cast<int64_t>(indices.size()) + static_cast<int64_t>(k)) *
-              inner;
+      float* dst = out.data() + (o * count + k) * inner;
       std::copy(src, src + inner, dst);
     }
   }
-}
-
-Tensor IndexSelect(const Tensor& a, int axis,
-                   const std::vector<int64_t>& indices) {
-  const int rank = a.rank();
-  int resolved = axis;
-  if (resolved < 0) resolved += rank;
-  ARMNET_CHECK(resolved >= 0 && resolved < rank);
-  std::vector<int64_t> out_dims = a.shape().dims();
-  out_dims[static_cast<size_t>(resolved)] = static_cast<int64_t>(indices.size());
-  Tensor out{Shape(out_dims)};
-  IndexSelectOut(a, resolved, indices, out);
   return out;
 }
 
@@ -775,11 +600,11 @@ void ScatterAddRows(Tensor& dest, const std::vector<int64_t>& ids,
   }
 }
 
-void SoftmaxLastDimOut(const Tensor& a, Tensor& out) {
+Tensor SoftmaxLastDim(const Tensor& a) {
   ARMNET_CHECK_GE(a.rank(), 1);
-  ARMNET_DCHECK(a.shape() == out.shape());
+  Tensor out(a.shape());
   const int64_t d = a.dim(-1);
-  if (d == 0) return;  // avoids dividing by a zero-sized last dim
+  if (d == 0) return out;  // avoids dividing by a zero-sized last dim
   const int64_t rows = a.numel() / d;
   for (int64_t r = 0; r < rows; ++r) {
     const float* src = a.data() + r * d;
@@ -804,12 +629,6 @@ void SoftmaxLastDimOut(const Tensor& a, Tensor& out) {
     const float inv = 1.0f / total;
     for (int64_t j = 0; j < d; ++j) dst[j] *= inv;
   }
-}
-
-Tensor SoftmaxLastDim(const Tensor& a) {
-  ARMNET_CHECK_GE(a.rank(), 1);
-  Tensor out(a.shape());
-  SoftmaxLastDimOut(a, out);
   return out;
 }
 

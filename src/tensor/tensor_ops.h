@@ -13,12 +13,6 @@
 // stacks of matrices ([..., M, K] x [..., K, N]) and broadcasts the leading
 // batch dimensions. All functions allocate and return new tensors unless
 // documented otherwise.
-//
-// Every op the execution-plan VM (src/plan/) replays also has a
-// destination-passing `*Out` variant writing into a caller-provided tensor
-// (an arena view at steady state). The allocating form is a thin wrapper
-// over the same core loop, so the compiled and interpreted paths are
-// bit-identical by construction.
 
 namespace armnet::tmath {
 
@@ -95,6 +89,9 @@ void CheckRowIds(const std::vector<int64_t>& ids, int64_t rows,
                  const char* op_name);
 // Rows of `table` ([M, width]) selected by `ids` -> [ids.size(), width].
 Tensor GatherRows(const Tensor& table, const std::vector<int64_t>& ids);
+// GatherRows into a caller-provided [ids.size(), width] tensor.
+void GatherRowsOut(const Tensor& table, const std::vector<int64_t>& ids,
+                   Tensor& out);
 // dest[ids[i], :] += src[i, :]; dest is modified in place.
 void ScatterAddRows(Tensor& dest, const std::vector<int64_t>& ids,
                     const Tensor& src);
@@ -102,49 +99,6 @@ void ScatterAddRows(Tensor& dest, const std::vector<int64_t>& ids,
 // --- Softmax ----------------------------------------------------------------
 // Numerically stable softmax over the last dimension.
 Tensor SoftmaxLastDim(const Tensor& a);
-
-// --- Destination-passing variants -------------------------------------------
-// Each writes the full result into `out`, whose shape must equal the result
-// shape of the allocating form (checked). `out` may be an arena view; every
-// element is overwritten (SumOut zero-fills its window first), so the buffer
-// may be acquired without the zeroing pass. Unless documented, `out` must
-// not alias an input.
-//
-// In-place aliasing contract: for AddOut/SubOut/MulOut/DivOut, `out` MAY
-// alias `a` or `b` when that operand's shape equals the output shape (the
-// walk reads each aliased element exactly once, before writing it) — the
-// VM's fused epilogues rely on this.
-void AddOut(const Tensor& a, const Tensor& b, Tensor& out);
-void SubOut(const Tensor& a, const Tensor& b, Tensor& out);
-void MulOut(const Tensor& a, const Tensor& b, Tensor& out);
-void DivOut(const Tensor& a, const Tensor& b, Tensor& out);
-
-// Unary/scalar forms; `out` may alias `a` (same shape, elementwise).
-void AddScalarOut(const Tensor& a, float s, Tensor& out);
-void MulScalarOut(const Tensor& a, float s, Tensor& out);
-void PowScalarOut(const Tensor& a, float p, Tensor& out);
-void ExpOut(const Tensor& a, Tensor& out);
-void LogOut(const Tensor& a, Tensor& out);
-void AbsOut(const Tensor& a, Tensor& out);
-void ReluOut(const Tensor& a, Tensor& out);
-// Leaky ReLU with the given negative-side slope (the autograd op's forward).
-void LeakyReluOut(const Tensor& a, float slope, Tensor& out);
-void ClampMinOut(const Tensor& a, float lo, Tensor& out);
-// Elementwise a*a (the autograd Square op's forward: Mul(a, a)).
-void SquareOut(const Tensor& a, Tensor& out);
-
-void MatMulOut(const Tensor& a, const Tensor& b, Tensor& out);
-void TransposeOut(const Tensor& a, int dim0, int dim1, Tensor& out);
-void SumOut(const Tensor& a, int axis, bool keepdim, Tensor& out);
-void SumAllOut(const Tensor& a, Tensor& out);
-void ConcatOut(const std::vector<const Tensor*>& parts, int axis, Tensor& out);
-void SliceOut(const Tensor& a, int axis, int64_t start, int64_t length,
-              Tensor& out);
-void IndexSelectOut(const Tensor& a, int axis,
-                    const std::vector<int64_t>& indices, Tensor& out);
-void GatherRowsOut(const Tensor& table, const std::vector<int64_t>& ids,
-                   Tensor& out);
-void SoftmaxLastDimOut(const Tensor& a, Tensor& out);
 
 }  // namespace armnet::tmath
 

@@ -45,7 +45,6 @@ inline constexpr char kSiteServeSlowForward[] = "serve/slow_forward";
 inline constexpr char kSiteServeReloadCorrupt[] = "serve/reload_corrupt";
 inline constexpr char kSiteServeQueueStall[] = "serve/queue_stall";
 inline constexpr char kSiteServeWorkerStall[] = "serve/worker_stall";
-inline constexpr char kSiteServePlanCompile[] = "serve/plan_compile";
 inline constexpr char kSiteServeShadowStall[] = "serve/shadow_stall";
 inline constexpr char kSiteServeDriftSkew[] = "serve/drift_skew";
 

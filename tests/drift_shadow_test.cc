@@ -1,5 +1,5 @@
 // Tests for drift monitoring, shadow deployment, and the bulk PredictTable
-// operator (DESIGN.md §16): drift-reference round-trips and backward
+// operator (DESIGN.md §15): drift-reference round-trips and backward
 // compatibility with pre-drift artifacts, alert raise/clear edges on a
 // virtual clock, PSI score-shift detection, shadow mirroring with the
 // promotion protocol (allowed in bounds, typed refusal with evidence
@@ -531,7 +531,7 @@ TEST(DriftMetricsTest, RunMetricsJsonCarriesDriftSection) {
   Pump(service);
   const armor::RunMetrics metrics = armor::CaptureRunMetrics(
       nullptr, service.CounterSnapshot(), service.GaugeSnapshot(),
-      service.PlanCounterSnapshot(), service.DriftMetricsSnapshot());
+      service.DriftMetricsSnapshot());
   ASSERT_TRUE(metrics.has_drift);
   const std::string json = armor::RunMetricsJson(metrics);
   EXPECT_NE(json.find("\"drift\":[{\"name\":\"drift/enabled\",\"value\":1"),

@@ -17,7 +17,6 @@
 #include "data/synthetic.h"
 #include "nn/module.h"
 #include "tensor/storage_pool.h"
-#include "util/thread_pool.h"
 
 namespace armnet {
 namespace {
@@ -257,21 +256,25 @@ TEST(TensorPoolTest, ConcurrentParallelForWorkersHammerOnePool) {
   // TSan-preset stress: many workers allocate, fill, and release tensors of
   // colliding bucket sizes through one shared pool.
   TensorPool pool;
-  ThreadPool workers(4);
+  constexpr int kWorkers = 4;
   constexpr int64_t kTasks = 256;
   std::atomic<int64_t> checked{0};
-  workers.ParallelFor(kTasks, [&](int64_t begin, int64_t end) {
-    ScopedTensorPool scoped(pool);
-    for (int64_t i = begin; i < end; ++i) {
-      const int64_t n = 16 + (i % 7) * 16;
-      Tensor t{Shape({n})};
-      t.Fill(static_cast<float>(i));
-      Tensor copy = t.Clone();
-      if (copy[0] == static_cast<float>(i)) {
-        checked.fetch_add(1, std::memory_order_relaxed);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      ScopedTensorPool scoped(pool);
+      for (int64_t i = w; i < kTasks; i += kWorkers) {
+        const int64_t n = 16 + (i % 7) * 16;
+        Tensor t{Shape({n})};
+        t.Fill(static_cast<float>(i));
+        Tensor copy = t.Clone();
+        if (copy[0] == static_cast<float>(i)) {
+          checked.fetch_add(1, std::memory_order_relaxed);
+        }
       }
-    }
-  });
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
   EXPECT_EQ(checked.load(), kTasks);
   const TensorPoolStats stats = pool.stats();
   EXPECT_EQ(stats.hits + stats.misses, 2 * kTasks);

@@ -1,9 +1,8 @@
-// Tests for the quantized embedding-storage subsystem (DESIGN.md §15):
+// Tests for the quantized embedding-storage subsystem (DESIGN.md §14):
 // fp16 conversion, int8/fp16 dequantize-on-gather bit-exactness against the
 // stored bytes (scalar and SIMD), the quantize -> serialize -> mmap -> gather
-// round trip, hot-row cache hit accounting under a skewed distribution,
-// corruption/truncation rejection at every boundary, the Embedding no-grad
-// routing contract, and compiled-plan coverage of the quantized lookup.
+// round trip, corruption/truncation rejection at every boundary, and the
+// Embedding no-grad routing contract.
 
 #include "tensor/quantized.h"
 
@@ -21,13 +20,10 @@
 
 #include "autograd/grad_mode.h"
 #include "autograd/ops.h"
-#include "data/synthetic.h"
-#include "models/factory.h"
 #include "nn/embedding.h"
 #include "nn/embedding_store.h"
 #include "nn/linear.h"
 #include "nn/serialize.h"
-#include "plan/compiled_predictor.h"
 #include "tensor/backend.h"
 #include "tensor/half.h"
 #include "tensor/kernels.h"
@@ -308,47 +304,6 @@ TEST(StoreCorruptionTest, WrongKindRejected) {
   EXPECT_NE(opened.status().message().find("kind"), std::string::npos);
 }
 
-// --- Hot-row cache -----------------------------------------------------------
-
-TEST(HotRowCacheTest, SkewedAccessAccountingAndEquivalence) {
-  const int64_t rows = 2000;
-  const int64_t width = 8;
-  const Tensor table = RandomTable(rows, width, 31);
-  std::shared_ptr<QuantizedTable> plain =
-      QuantizedTable::Quantize(table, QuantKind::kInt8);
-  std::shared_ptr<QuantizedTable> cached =
-      QuantizedTable::Quantize(table, QuantKind::kInt8);
-  ASSERT_FALSE(cached->cache_enabled());
-  cached->EnableHotRowCache(512);
-  ASSERT_TRUE(cached->cache_enabled());
-
-  // The skewed access shape the synthetic generators produce: a zipf head
-  // dominates, so a small cache of dequantized rows absorbs most gathers.
-  Rng rng(32);
-  Rng::ZipfTable zipf(rows, /*s=*/1.2);
-  int64_t total = 0;
-  for (int round = 0; round < 20; ++round) {
-    std::vector<int64_t> ids(500);
-    for (int64_t& id : ids) id = zipf.Sample(rng);
-    total += static_cast<int64_t>(ids.size());
-    const Tensor a = plain->GatherRows(ids);
-    const Tensor b = cached->GatherRows(ids);
-    ASSERT_EQ(std::memcmp(a.data(), b.data(),
-                          static_cast<size_t>(a.numel()) * sizeof(float)),
-              0)
-        << "cache changed a gathered value in round " << round;
-  }
-
-  // Every lookup is accounted exactly once, and the skew makes hits
-  // dominate misses by a wide margin.
-  const int64_t hits = static_cast<int64_t>(cached->cache_hits());
-  const int64_t misses = static_cast<int64_t>(cached->cache_misses());
-  EXPECT_EQ(hits + misses, total);
-  EXPECT_GT(hits, misses);
-  EXPECT_GT(hits, total / 2);
-  EXPECT_EQ(plain->cache_hits(), 0u);
-}
-
 // --- Embedding routing -------------------------------------------------------
 
 TEST(EmbeddingStoreTest, NoGradForwardUsesStoreTapedForwardUsesTable) {
@@ -384,73 +339,6 @@ TEST(EmbeddingStoreTest, NoGradForwardUsesStoreTapedForwardUsesTable) {
   EXPECT_EQ(std::memcmp(detached.data(), float_rows.data(),
                         static_cast<size_t>(detached.numel()) * sizeof(float)),
             0);
-}
-
-// --- Compiled-plan coverage --------------------------------------------------
-
-// With a store attached, the tracer lowers the no-grad lookup to
-// kQuantEmbeddingLookup and the compiled plan reproduces the interpreted
-// logits bit-for-bit — through an mmap-backed table, which the plan must
-// keep alive on its own.
-TEST(EmbeddingStoreTest, CompiledPlanCoversQuantizedLookup) {
-  data::SyntheticSpec spec;
-  spec.name = "qplan-tiny";
-  spec.fields = {{"a", data::FieldType::kCategorical, 8},
-                 {"b", data::FieldType::kCategorical, 6},
-                 {"c", data::FieldType::kNumerical, 1}};
-  spec.num_tuples = 64;
-  spec.seed = 19;
-  data::SyntheticDataset synthetic = data::GenerateSynthetic(spec);
-
-  Rng rng(7);
-  models::FactoryConfig config;
-  config.arm.num_heads = 2;
-  config.arm.neurons_per_head = 4;
-  auto model = models::CreateModel("ARM-Net", synthetic.dataset.schema(),
-                                   config, rng);
-  model->SetTraining(false);
-
-  // Export every embedding to one mmap-backed int8 store file and attach.
-  std::vector<nn::Embedding*> embeddings;
-  for (nn::Module* m : model->SelfAndDescendants()) {
-    if (auto* e = dynamic_cast<nn::Embedding*>(m)) embeddings.push_back(e);
-  }
-  ASSERT_FALSE(embeddings.empty());
-  for (size_t i = 0; i < embeddings.size(); ++i) {
-    std::shared_ptr<QuantizedTable> exported = QuantizedTable::Quantize(
-        embeddings[i]->table().value(), QuantKind::kInt8);
-    const std::string path = ::testing::TempDir() + "/qplan_store_" +
-                             std::to_string(i) + ".arms";
-    ASSERT_TRUE(nn::SaveEmbeddingStore(*exported, path).ok());
-    StatusOr<std::shared_ptr<QuantizedTable>> opened =
-        nn::OpenMappedEmbeddingStore(path);
-    ASSERT_TRUE(opened.ok()) << opened.status().message();
-    embeddings[i]->AttachStore(opened.value());
-  }
-
-  std::vector<int64_t> rows;
-  for (int64_t i = 0; i < 16; ++i) rows.push_back(i);
-  data::Batch batch;
-  synthetic.dataset.Gather(rows, &batch);
-
-  std::vector<float> reference;
-  {
-    NoGradGuard no_grad;
-    Rng eval_rng(1);
-    Variable logits = model->Forward(batch, eval_rng);
-    reference.assign(logits.value().data(),
-                     logits.value().data() + batch.batch_size);
-  }
-
-  plan::CompiledPredictor predictor(model.get());
-  std::vector<float> compiled;
-  ASSERT_TRUE(predictor.TryRun(batch, &compiled))
-      << "quantized lookup did not compile";
-  ASSERT_EQ(compiled.size(), reference.size());
-  for (size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&compiled[i], &reference[i], sizeof(float)), 0)
-        << "logit " << i << ": " << compiled[i] << " vs " << reference[i];
-  }
 }
 
 }  // namespace

@@ -330,11 +330,8 @@ TEST(BackendTest, NamesAndSwitch) {
   SetBackend(original);
 }
 
-// The two storage-acquisition contracts, exercised on the same recycled
-// pool buffer. Tensor(Shape) promises zeros no matter where the buffer came
-// from; Tensor::Uninitialized skips the re-zero pass for consumers that
-// overwrite every element before reading (the plan arena, whose slots are
-// fully defined by the instruction that owns them).
+// Tensor(Shape) promises zeros no matter where the buffer came from,
+// including a recycled pool buffer that still holds its previous tenant.
 TEST(StoragePoolTest, RecycledBufferZeroingContracts) {
   TensorPool pool;
   ScopedTensorPool scoped(pool);
@@ -345,34 +342,15 @@ TEST(StoragePoolTest, RecycledBufferZeroingContracts) {
     recycled = t.data();
   }  // storage returns to the pool's free list
 
-  // Zeroing contract: a pool hit hands back the recycled buffer, and the
-  // stale 3.5s must have been wiped.
+  // A pool hit hands back the recycled buffer, and the stale 3.5s must have
+  // been wiped.
   {
     Tensor t(Shape({8}));
     ASSERT_EQ(t.data(), recycled);
     for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0f);
-    t.Fill(7.25f);
   }
-
-  // Non-zeroing acquisition: Uninitialized reuses the same buffer without
-  // the memset — the previous tenant's contents are still visible, which is
-  // exactly the pass the arena does not want to pay per batch.
-  {
-    Tensor t = Tensor::Uninitialized(Shape({8}));
-    ASSERT_EQ(t.data(), recycled);
-    for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 7.25f);
-  }
-  EXPECT_EQ(pool.stats().hits, 2);
+  EXPECT_EQ(pool.stats().hits, 1);
   EXPECT_EQ(pool.stats().misses, 1);
-}
-
-// Off the pool, both factories get fresh heap storage; Uninitialized makes
-// no content promise but must still be fully writable and sized right.
-TEST(StoragePoolTest, UninitializedOffPoolIsWritable) {
-  Tensor t = Tensor::Uninitialized(Shape({3, 4}));
-  EXPECT_EQ(t.numel(), 12);
-  t.Fill(1.0f);
-  for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 1.0f);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the shared utilities: RNG determinism and distributions,
-// string helpers, flags, CSV I/O, Status, and the thread pool.
+// string helpers, flags, CSV I/O, and Status.
 
 #include "util/rng.h"
 
@@ -12,7 +12,6 @@
 #include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace armnet {
 namespace {
@@ -148,29 +147,6 @@ TEST(StatusTest, OkAndError) {
   StatusOr<int> failed(Status::Error("nope"));
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().message(), "nope");
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRangeOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1 << 12);
-  pool.ParallelFor(static_cast<int64_t>(hits.size()),
-                   [&](int64_t begin, int64_t end) {
-                     for (int64_t i = begin; i < end; ++i) {
-                       hits[static_cast<size_t>(i)]++;
-                     }
-                   });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, InlineForTinyRangesAndZeroWorkers) {
-  ThreadPool pool(0);
-  int count = 0;
-  pool.ParallelFor(10, [&](int64_t begin, int64_t end) {
-    count += static_cast<int>(end - begin);
-  });
-  EXPECT_EQ(count, 10);
-  pool.ParallelFor(0, [&](int64_t, int64_t) { count = -1; });
-  EXPECT_EQ(count, 10);
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

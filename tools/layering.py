@@ -13,9 +13,8 @@ at the top); before this checker it was tribal knowledge.
     layer 3   nn
     layer 4   data, optim, metrics
     layer 5   core, models
-    layer 6   plan
-    layer 7   armor
-    layer 8   serve, interpret
+    layer 6   armor
+    layer 7   serve, interpret
 
 Two failure modes, both printed with the offending edge:
 
@@ -48,7 +47,6 @@ LAYERS = [
     ["nn"],
     ["data", "optim", "metrics"],
     ["core", "models"],
-    ["plan"],
     ["armor"],
     ["serve", "interpret"],
 ]
@@ -197,13 +195,6 @@ def self_test():
         "tensor/kernels.cc": '#include "nn/linear.h"\n',
         "nn/linear.h": "",
     }, ["up-layer include: tensor (layer 1) -> nn (layer 3)"])
-
-    # The compiled-plan layer may look down at models but never up at the
-    # serving surface that drives it.
-    expect("plan-up-layer", {
-        "plan/vm.cc": '#include "serve/service.h"\n',
-        "serve/service.h": "",
-    }, ["up-layer include: plan (layer 6) -> serve (layer 8)"])
 
     # A same-layer cycle: core <-> models.
     expect("same-layer-cycle", {

@@ -45,16 +45,10 @@ tooling"):
                request critical path: PredictionService::Submit / Predict in
                src/serve/service.cc may not touch the drift monitor or the
                shadow machinery — histogram/window math runs only when a
-               worker drains a batch (DESIGN.md §16)
+               worker drains a batch (DESIGN.md §15)
   layering     the include graph respects the layer DAG declared in
                tools/layering.py (no up-layer includes, no same-layer
                directory cycles)
-  plan-trace   src/plan/ observes the autograd tape only through the trace
-               hook: no #include "autograd/..." except autograd/trace_hook.h.
-               The compiled-plan layer replays tmath kernels from a static
-               program; reaching into tape internals (variable.h, ops.h,
-               grad_mode.h) would silently re-couple the VM to the
-               interpreter it exists to bypass
 
 Usage:
   tools/lint.py                 # run all text lints on src/ and tools/
@@ -209,31 +203,10 @@ def check_raw_chrono():
                        "ARMNET_PROFILE_SCOPE (util/profiler.h)")
 
 
-# The plan layer's only window into autograd is the trace hook: the tracer
-# installs a ScopedTraceSink and observes ops as the interpreter runs them.
-# Everything else in src/plan/ works on captured Tensors and tmath kernels.
-PLAN_TRACE_ALLOWED_INCLUDE = "autograd/trace_hook.h"
-PLAN_AUTOGRAD_INCLUDE_RE = re.compile(r'#include\s+"(autograd/[^"]+)"')
-
-
-def check_plan_trace_isolation():
-    for path in sorted(list((SRC / "plan").rglob("*.h")) +
-                       list((SRC / "plan").rglob("*.cc"))):
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-            m = PLAN_AUTOGRAD_INCLUDE_RE.search(strip_comments(raw))
-            if m and m.group(1) != PLAN_TRACE_ALLOWED_INCLUDE:
-                report(path, lineno, "plan-trace",
-                       f"src/plan/ includes '{m.group(1)}'; the plan layer "
-                       "may only see autograd through "
-                       f"{PLAN_TRACE_ALLOWED_INCLUDE}")
-
-
 # Evaluation-only subsystems: every model Forward they issue must run under
-# an established NoGradGuard (tape-free serving, DESIGN.md §9) — or, in the
-# plan tracer, a ScopedTraceSink, which forces grad mode off for its
-# lifetime (autograd/trace_hook.h). The trainer is the one legitimate taped
-# Forward caller in scope.
-NOGRAD_DIRS = ("armor", "interpret", "serve", "plan")
+# an established NoGradGuard (tape-free serving, DESIGN.md §9). The trainer
+# is the one legitimate taped Forward caller in scope.
+NOGRAD_DIRS = ("armor", "interpret", "serve")
 NOGRAD_ALLOWLIST = {
     Path("armor") / "trainer.cc",  # training step differentiates via Forward
 }
@@ -255,7 +228,7 @@ def check_nograd_eval():
                 line = strip_comments(raw)
                 if FUNC_START_RE.match(line):
                     guard_established = False
-                if "NoGradGuard" in line or "ScopedTraceSink" in line:
+                if "NoGradGuard" in line:
                     guard_established = True
                 if FORWARD_CALL_RE.search(line) and not guard_established:
                     report(path, lineno, "nograd-eval",
@@ -288,7 +261,7 @@ def check_drift_drain():
             report(path, lineno, "drift-drain",
                    "drift/shadow machinery on the request critical path; "
                    "window updates and mirroring run only on the worker "
-                   "drain path (DESIGN.md §16)")
+                   "drain path (DESIGN.md §15)")
 
 
 # Raw standard-library synchronization primitives are invisible to Clang's
@@ -346,9 +319,8 @@ def check_ts_escapes():
 
 
 # Memory mapping is confined to the embedding-store TU: MappedFile there
-# owns the munmap lifetime (kept alive by the QuantizedTable handle, so a
-# compiled plan can co-own the mapping) and validates the whole envelope
-# before any mapped byte escapes. A raw mmap anywhere else would create an
+# owns the munmap lifetime (kept alive by the QuantizedTable handle) and
+# validates the whole envelope before any mapped byte escapes. A raw mmap anywhere else would create an
 # unmanaged mapping lifetime outside that contract.
 MMAP_RE = re.compile(r"(?<![\w:.])(mmap|munmap)\s*\(|#include\s*<sys/mman\.h>")
 MMAP_ALLOWLIST = {
@@ -427,7 +399,6 @@ def main() -> int:
     check_raw_chrono()
     check_nograd_eval()
     check_drift_drain()
-    check_plan_trace_isolation()
     check_mutex_facade()
     check_mmap_isolation()
     check_ts_escapes()
