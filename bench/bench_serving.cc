@@ -27,7 +27,7 @@
 // shadow mirroring statistics. The binary self-checks that every hostile
 // cell alerts and no clean cell does. A shadow on/off A/B pair reports the
 // mirroring overhead on primary p99, and a drift/section row mirrors the
-// service's full drift metrics snapshot (the run-metrics "drift" section).
+// service's full drift metrics snapshot (DriftMetricsSnapshot).
 //
 // Flags: --requests=<n> latency samples (default 2000), --capacity=<n>
 // queue bound (default 256), --batch=<n> micro-batch cap (default 64),
@@ -598,7 +598,7 @@ int main(int argc, char** argv) {
   // the delta on primary p99 is the mirroring tax (the forward runs after
   // primary completions were delivered, so only queueing pressure shows).
   // The drift/section row mirrors the shadow-on service's full drift
-  // metrics snapshot — the "drift" section RunMetricsJson emits.
+  // metrics snapshot (DriftMetricsSnapshot).
   {
     double p99_by_arm[2] = {0, 0};
     for (const bool shadow_on : {false, true}) {
@@ -641,11 +641,9 @@ int main(int argc, char** argv) {
     row.metrics.push_back({"overhead_pct", overhead_pct});
   }
 
-  // --- Service counter snapshot (the run-metrics "serve" section) --------
+  // --- Service counter and gauge snapshot ---------------------------------
   bench::BenchRow& totals = report.AddRow("counters/total");
-  for (const prof::CounterStats& c : service.CounterSnapshot()) {
-    totals.counters.push_back({c.name, c.count});
-  }
+  totals.counters = service.CounterSnapshot();
   for (const auto& [name, value] : service.GaugeSnapshot()) {
     totals.metrics.push_back({name, value});
   }

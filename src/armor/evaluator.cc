@@ -7,7 +7,6 @@
 #include "data/batcher.h"
 #include "metrics/metrics.h"
 #include "tensor/storage_pool.h"
-#include "util/profiler.h"
 
 namespace armnet::armor {
 
@@ -15,7 +14,6 @@ std::vector<float> PredictLogits(models::TabularModel& model,
                                  const data::Dataset& dataset,
                                  int64_t batch_size,
                                  TensorPoolStats* pool_stats) {
-  ARMNET_PROFILE_SCOPE("armor/PredictLogits");
   nn::TrainingModeGuard eval_mode(model, /*training=*/false);
   // Tape-free, allocation-lean inference: no autograd nodes are recorded
   // and each batch's intermediates recycle the previous batch's buffers.
@@ -40,7 +38,6 @@ std::vector<float> PredictLogits(models::TabularModel& model,
 
 EvalResult Evaluate(models::TabularModel& model, const data::Dataset& dataset,
                     int64_t batch_size) {
-  ARMNET_PROFILE_SCOPE("armor/Evaluate");
   EvalResult result;
   const autograd::TapeStats tape_before = autograd::GetTapeStats();
   const std::vector<float> logits =

@@ -15,7 +15,6 @@
 #include "util/csv.h"
 #include "util/fault_injection.h"
 #include "util/json.h"
-#include "util/profiler.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -91,7 +90,6 @@ void RestoreRun(std::vector<Variable>& params, std::vector<Tensor>& buffers,
 
 TrainResult Fit(models::TabularModel& model, const data::Splits& splits,
                 const TrainConfig& config) {
-  ARMNET_PROFILE_SCOPE("armor/Fit");
   Rng rng(config.seed);
   Rng dropout_rng = rng.Fork();
   std::vector<Variable> params = model.Parameters();

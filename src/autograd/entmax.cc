@@ -4,7 +4,6 @@
 
 #include "tensor/entmax.h"
 #include "tensor/kernels.h"
-#include "util/profiler.h"
 
 namespace armnet::ag {
 
@@ -23,7 +22,6 @@ Tensor EntmaxLastDimValue(const Tensor& z, float alpha) {
 }
 
 Variable Entmax(const Variable& z, float alpha) {
-  ARMNET_PROFILE_SCOPE("fwd/Entmax");
   Tensor out = tmath::EntmaxLastDim(z.value(), alpha);
   Tensor p = out;
   return MakeFromOp(
@@ -58,7 +56,7 @@ Variable Entmax(const Variable& z, float alpha) {
           }
         }
         z.AccumulateGrad(dz);
-      }, "Entmax");
+      });
 }
 
 }  // namespace armnet::ag

@@ -6,7 +6,6 @@
 #include "autograd/grad_mode.h"
 #include "tensor/quantized.h"
 #include "tensor/tensor_ops.h"
-#include "util/profiler.h"
 
 namespace armnet::ag {
 
@@ -17,7 +16,7 @@ Variable Add(const Variable& a, const Variable& b) {
   return MakeFromOp(std::move(out), {a, b}, [a, b](const Tensor& g) mutable {
     if (a.requires_grad()) a.AccumulateGrad(tm::SumTo(g, a.shape()));
     if (b.requires_grad()) b.AccumulateGrad(tm::SumTo(g, b.shape()));
-  }, "Add");
+  });
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
@@ -25,18 +24,17 @@ Variable Sub(const Variable& a, const Variable& b) {
   return MakeFromOp(std::move(out), {a, b}, [a, b](const Tensor& g) mutable {
     if (a.requires_grad()) a.AccumulateGrad(tm::SumTo(g, a.shape()));
     if (b.requires_grad()) b.AccumulateGrad(tm::SumTo(tm::Neg(g), b.shape()));
-  }, "Sub");
+  });
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
-  ARMNET_PROFILE_SCOPE("fwd/Mul");
   Tensor out = tm::Mul(a.value(), b.value());
   return MakeFromOp(std::move(out), {a, b}, [a, b](const Tensor& g) mutable {
     if (a.requires_grad())
       a.AccumulateGrad(tm::SumTo(tm::Mul(g, b.value()), a.shape()));
     if (b.requires_grad())
       b.AccumulateGrad(tm::SumTo(tm::Mul(g, a.value()), b.shape()));
-  }, "Mul");
+  });
 }
 
 Variable Div(const Variable& a, const Variable& b) {
@@ -50,21 +48,21 @@ Variable Div(const Variable& a, const Variable& b) {
                                   tm::Mul(b.value(), b.value())));
       b.AccumulateGrad(tm::SumTo(db, b.shape()));
     }
-  }, "Div");
+  });
 }
 
 Variable AddScalar(const Variable& a, float s) {
   Tensor out = tm::AddScalar(a.value(), s);
   return MakeFromOp(std::move(out), {a}, [a](const Tensor& g) mutable {
     if (a.requires_grad()) a.AccumulateGrad(g);
-  }, "AddScalar");
+  });
 }
 
 Variable MulScalar(const Variable& a, float s) {
   Tensor out = tm::MulScalar(a.value(), s);
   return MakeFromOp(std::move(out), {a}, [a, s](const Tensor& g) mutable {
     if (a.requires_grad()) a.AccumulateGrad(tm::MulScalar(g, s));
-  }, "MulScalar");
+  });
 }
 
 Variable PowScalar(const Variable& a, float p) {
@@ -75,27 +73,26 @@ Variable PowScalar(const Variable& a, float p) {
           tm::Mul(g, tm::MulScalar(tm::PowScalar(a.value(), p - 1.0f), p));
       a.AccumulateGrad(da);
     }
-  }, "PowScalar");
+  });
 }
 
 Variable Neg(const Variable& a) { return MulScalar(a, -1.0f); }
 
 Variable Exp(const Variable& a) {
-  ARMNET_PROFILE_SCOPE("fwd/Exp");
   Tensor out = tm::Exp(a.value());
   Tensor out_copy = out;  // shares storage; cheap capture for backward
   return MakeFromOp(std::move(out), {a},
                     [a, out_copy](const Tensor& g) mutable {
                       if (a.requires_grad())
                         a.AccumulateGrad(tm::Mul(g, out_copy));
-                    }, "Exp");
+                    });
 }
 
 Variable Log(const Variable& a) {
   Tensor out = tm::Log(a.value());
   return MakeFromOp(std::move(out), {a}, [a](const Tensor& g) mutable {
     if (a.requires_grad()) a.AccumulateGrad(tm::Div(g, a.value()));
-  }, "Log");
+  });
 }
 
 Variable Sqrt(const Variable& a) {
@@ -108,7 +105,7 @@ Variable Sqrt(const Variable& a) {
                         Tensor da = tm::Div(tm::MulScalar(g, 0.5f), out_copy);
                         a.AccumulateGrad(da);
                       }
-                    }, "Sqrt");
+                    });
 }
 
 Variable Square(const Variable& a) {
@@ -116,7 +113,7 @@ Variable Square(const Variable& a) {
   return MakeFromOp(std::move(out), {a}, [a](const Tensor& g) mutable {
     if (a.requires_grad())
       a.AccumulateGrad(tm::Mul(g, tm::MulScalar(a.value(), 2.0f)));
-  }, "Square");
+  });
 }
 
 Variable Sigmoid(const Variable& a) {
@@ -130,7 +127,7 @@ Variable Sigmoid(const Variable& a) {
               g, tm::Mul(out_copy, tm::AddScalar(tm::Neg(out_copy), 1.0f)));
           a.AccumulateGrad(da);
         }
-      }, "Sigmoid");
+      });
 }
 
 Variable Tanh(const Variable& a) {
@@ -145,7 +142,7 @@ Variable Tanh(const Variable& a) {
                                    tm::Neg(tm::Mul(out_copy, out_copy)), 1.0f));
                         a.AccumulateGrad(da);
                       }
-                    }, "Tanh");
+                    });
 }
 
 Variable Relu(const Variable& a) {
@@ -160,7 +157,7 @@ Variable Relu(const Variable& a) {
     const int64_t n = g.numel();
     for (int64_t i = 0; i < n; ++i) pd[i] = pa[i] > 0 ? pg[i] : 0.0f;
     a.AccumulateGrad(da);
-  }, "Relu");
+  });
 }
 
 Variable LeakyRelu(const Variable& a, float slope) {
@@ -181,7 +178,7 @@ Variable LeakyRelu(const Variable& a, float slope) {
     const int64_t n = g.numel();
     for (int64_t i = 0; i < n; ++i) pd[i] = pa[i] > 0 ? pg[i] : slope * pg[i];
     a.AccumulateGrad(da);
-  }, "LeakyRelu");
+  });
 }
 
 Variable Abs(const Variable& a) {
@@ -198,7 +195,7 @@ Variable Abs(const Variable& a) {
       pd[i] = pa[i] > 0 ? pg[i] : (pa[i] < 0 ? -pg[i] : 0.0f);
     }
     a.AccumulateGrad(da);
-  }, "Abs");
+  });
 }
 
 Variable ClampMin(const Variable& a, float lo) {
@@ -213,11 +210,10 @@ Variable ClampMin(const Variable& a, float lo) {
     const int64_t n = g.numel();
     for (int64_t i = 0; i < n; ++i) pd[i] = pa[i] > lo ? pg[i] : 0.0f;
     a.AccumulateGrad(da);
-  }, "ClampMin");
+  });
 }
 
 Variable MatMul(const Variable& a, const Variable& b) {
-  ARMNET_PROFILE_SCOPE("fwd/MatMul");
   Tensor out = tm::MatMul(a.value(), b.value());
   return MakeFromOp(std::move(out), {a, b}, [a, b](const Tensor& g) mutable {
     if (a.requires_grad()) {
@@ -230,7 +226,7 @@ Variable MatMul(const Variable& a, const Variable& b) {
       Tensor db = tm::MatMul(tm::Transpose(a.value(), -2, -1), g);
       b.AccumulateGrad(tm::SumTo(db, b.shape()));
     }
-  }, "MatMul");
+  });
 }
 
 Variable Transpose(const Variable& a, int dim0, int dim1) {
@@ -239,14 +235,14 @@ Variable Transpose(const Variable& a, int dim0, int dim1) {
                     [a, dim0, dim1](const Tensor& g) mutable {
                       if (a.requires_grad())
                         a.AccumulateGrad(tm::Transpose(g, dim0, dim1));
-                    }, "Transpose");
+                    });
 }
 
 Variable Reshape(const Variable& a, Shape shape) {
   Tensor out = a.value().Reshape(std::move(shape));
   return MakeFromOp(std::move(out), {a}, [a](const Tensor& g) mutable {
     if (a.requires_grad()) a.AccumulateGrad(g.Reshape(a.shape()));
-  }, "Reshape");
+  });
 }
 
 Variable SumAll(const Variable& a) {
@@ -254,7 +250,7 @@ Variable SumAll(const Variable& a) {
   return MakeFromOp(std::move(out), {a}, [a](const Tensor& g) mutable {
     if (a.requires_grad())
       a.AccumulateGrad(Tensor::Full(a.shape(), g.item()));
-  }, "SumAll");
+  });
 }
 
 Variable MeanAll(const Variable& a) {
@@ -264,7 +260,6 @@ Variable MeanAll(const Variable& a) {
 }
 
 Variable Sum(const Variable& a, int axis, bool keepdim) {
-  ARMNET_PROFILE_SCOPE("fwd/Sum");
   Tensor out = tm::Sum(a.value(), axis, keepdim);
   const int rank = a.value().rank();
   const int resolved = axis < 0 ? axis + rank : axis;
@@ -279,7 +274,7 @@ Variable Sum(const Variable& a, int axis, bool keepdim) {
           gk = g.Reshape(Shape(std::move(dims)));
         }
         a.AccumulateGrad(tm::BroadcastTo(gk, a.shape()));
-      }, "Sum");
+      });
 }
 
 Variable Mean(const Variable& a, int axis, bool keepdim) {
@@ -291,7 +286,6 @@ Variable Mean(const Variable& a, int axis, bool keepdim) {
 }
 
 Variable Concat(const std::vector<Variable>& parts, int axis) {
-  ARMNET_PROFILE_SCOPE("fwd/Concat");
   ARMNET_CHECK(!parts.empty());
   std::vector<Tensor> values;
   values.reserve(parts.size());
@@ -310,7 +304,7 @@ Variable Concat(const std::vector<Variable>& parts, int axis) {
                         }
                         offset += len;
                       }
-                    }, "Concat");
+                    });
 }
 
 Variable Slice(const Variable& a, int axis, int64_t start, int64_t length) {
@@ -321,7 +315,7 @@ Variable Slice(const Variable& a, int axis, int64_t start, int64_t length) {
                         a.AccumulateGrad(
                             tm::SliceBackward(g, a.shape(), axis, start));
                       }
-                    }, "Slice");
+                    });
 }
 
 Variable IndexSelect(const Variable& a, int axis,
@@ -332,12 +326,11 @@ Variable IndexSelect(const Variable& a, int axis,
                       if (!a.requires_grad()) return;
                       a.AccumulateGrad(
                           tm::IndexSelectBackward(g, a.shape(), axis, indices));
-                    }, "IndexSelect");
+                    });
 }
 
 Variable EmbeddingLookup(const Variable& table,
                          const std::vector<int64_t>& ids) {
-  ARMNET_PROFILE_SCOPE("fwd/EmbeddingLookup");
   Tensor out = tm::GatherRows(table.value(), ids);
   return MakeFromOp(std::move(out), {table},
                     [table, ids](const Tensor& g) mutable {
@@ -345,13 +338,12 @@ Variable EmbeddingLookup(const Variable& table,
                       Tensor dt(table.shape());
                       tm::ScatterAddRows(dt, ids, g);
                       table.AccumulateGrad(dt);
-                    }, "EmbeddingLookup");
+                    });
 }
 
 Variable QuantizedEmbeddingLookup(
     const std::shared_ptr<const QuantizedTable>& table,
     const std::vector<int64_t>& ids) {
-  ARMNET_PROFILE_SCOPE("fwd/QuantEmbeddingLookup");
   ARMNET_CHECK(table != nullptr) << "QuantizedEmbeddingLookup: null table";
   ARMNET_CHECK(!GradMode::IsEnabled())
       << "QuantizedEmbeddingLookup is inference-only; train on the float32 "
@@ -359,11 +351,10 @@ Variable QuantizedEmbeddingLookup(
   Tensor out = table->GatherRows(ids);
   // No inputs and no backward: grad mode is off, so MakeFromOp takes the
   // tape-free path.
-  return MakeFromOp(std::move(out), {}, nullptr, "QuantEmbeddingLookup");
+  return MakeFromOp(std::move(out), {}, nullptr);
 }
 
 Variable Softmax(const Variable& a) {
-  ARMNET_PROFILE_SCOPE("fwd/Softmax");
   Tensor out = tm::SoftmaxLastDim(a.value());
   Tensor p = out;
   return MakeFromOp(std::move(out), {a}, [a, p](const Tensor& g) mutable {
@@ -373,11 +364,10 @@ Variable Softmax(const Variable& a) {
     Tensor row_sums = tm::Sum(pg, -1, /*keepdim=*/true);
     Tensor da = tm::Mul(p, tm::Sub(g, tm::BroadcastTo(row_sums, g.shape())));
     a.AccumulateGrad(da);
-  }, "Softmax");
+  });
 }
 
 Variable BceWithLogits(const Variable& logits, const Tensor& targets) {
-  ARMNET_PROFILE_SCOPE("fwd/BceWithLogits");
   const int64_t n = logits.numel();
   ARMNET_CHECK_EQ(n, targets.numel())
       << "BceWithLogits: logits vs targets size";
@@ -412,7 +402,7 @@ Variable BceWithLogits(const Variable& logits, const Tensor& targets) {
           pd[i] = (s - py[i]) * scale;
         }
         logits.AccumulateGrad(dx);
-      }, "BceWithLogits");
+      });
 }
 
 Variable MseLoss(const Variable& pred, const Tensor& target) {

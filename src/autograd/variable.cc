@@ -6,13 +6,6 @@
 
 #include "autograd/grad_mode.h"
 #include "tensor/kernels.h"
-#include "util/profiler.h"
-
-#ifdef ARMNET_PROFILING
-#include <string>
-
-#include "util/stopwatch.h"
-#endif
 
 namespace armnet {
 
@@ -39,7 +32,6 @@ void Variable::AccumulateGrad(const Tensor& g) const {
 }
 
 void Variable::Backward(const Tensor& seed) {
-  ARMNET_PROFILE_SCOPE("autograd/Backward");
   ARMNET_CHECK(defined());
   ARMNET_CHECK(!impl_->untracked)
       << "Backward() on an untracked graph: this Variable was computed "
@@ -82,32 +74,15 @@ void Variable::Backward(const Tensor& seed) {
     // Backward-boundary shape contract: the gradient flowing into an op's
     // backward must match the shape its forward produced.
     ARMNET_DCHECK(output->grad.shape() == output->value.shape());
-#ifdef ARMNET_PROFILING
-    if (prof::IsEnabled()) {
-      Stopwatch op_watch;
-      node->backward(output->grad);
-      prof::internal::RecordScopeNamed(std::string("bwd/") + node->op,
-                                       op_watch.ElapsedMillis());
-      continue;
-    }
-#endif
     node->backward(output->grad);
   }
 }
 
 Variable MakeFromOp(Tensor value, const std::vector<Variable>& inputs,
-                    std::function<void(const Tensor& grad_out)> backward,
-                    const char* op_name) {
+                    std::function<void(const Tensor& grad_out)> backward) {
   // Forward-boundary contract: ops must produce a real tensor and may only
   // consume real variables.
   ARMNET_DCHECK(value.defined());
-#ifdef ARMNET_PROFILING
-  // Per-op-name forward invocation counter at the tape boundary; the ops'
-  // own ARMNET_PROFILE_SCOPEs carry the forward timings.
-  if (prof::IsEnabled()) {
-    prof::internal::BumpCounterNamed(std::string("fwd/") + op_name, 1);
-  }
-#endif
   bool needs_grad = false;
   bool untracked_input = false;
   for (const Variable& input : inputs) {
@@ -135,7 +110,6 @@ Variable MakeFromOp(Tensor value, const std::vector<Variable>& inputs,
   autograd::internal::BumpNodesRecorded();
   auto node = std::make_shared<Node>();
   node->seq = SeqCounter().fetch_add(1, std::memory_order_relaxed);
-  node->op = op_name;
   node->inputs.reserve(inputs.size());
   for (const Variable& input : inputs) node->inputs.push_back(input.impl());
   node->output = result.impl();

@@ -31,9 +31,6 @@ struct Node {
   // Monotonic creation index; Backward() replays nodes in descending order,
   // which is a valid reverse-topological order for a dynamically built DAG.
   int64_t seq = 0;
-  // Name of the op that recorded this node (a string literal owned by the
-  // op implementation). Powers the profiler's per-op backward timing.
-  const char* op = "op";
   // Kept alive so the graph survives even if the user drops intermediates.
   std::vector<std::shared_ptr<VariableImpl>> inputs;
   // Weak to avoid a reference cycle (impl -> creator -> output -> impl).
@@ -134,12 +131,9 @@ class Variable {
 // is off (see autograd/grad_mode.h); the result is then marked untracked so
 // a later Backward() fails loudly instead of silently returning zeros.
 // `backward` receives d(loss)/d(result) and must accumulate into the inputs
-// (checking requires_grad per input). `op_name` must be a string literal
-// (it is retained by pointer); it labels the node in profiler output
-// ("fwd/<name>" invocation counters, "bwd/<name>" backward timings).
+// (checking requires_grad per input).
 Variable MakeFromOp(Tensor value, const std::vector<Variable>& inputs,
-                    std::function<void(const Tensor& grad_out)> backward,
-                    const char* op_name = "op");
+                    std::function<void(const Tensor& grad_out)> backward);
 
 }  // namespace armnet
 

@@ -119,8 +119,8 @@ class DriftMonitor {
 
   DriftSnapshotData Snapshot();
 
-  // Snapshot flattened to name/value pairs for the run-metrics `drift`
-  // section ("drift/field/<name>/oov_rate", ...).
+  // Snapshot flattened to name/value pairs ("drift/field/<name>/oov_rate",
+  // ...), the `drift/section` row of bench_serving.
   std::vector<std::pair<std::string, double>> MetricsSnapshot();
 
  private:

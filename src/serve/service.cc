@@ -37,19 +37,25 @@ int64_t ReadyLowWatermark(const ServeOptions& options) {
                                           : options.queue_capacity / 2;
 }
 
-// Strips any quantized embedding store from `model`'s module tree; returns
-// how many embeddings were carrying one. Caller guarantees no concurrent
-// forward (quiesced slot).
-int DetachEmbeddingStores(models::TabularModel& model) {
-  int detached = 0;
+// The embeddings in `model`'s module tree that carry a quantized store.
+std::vector<nn::Embedding*> StoreCarriers(models::TabularModel& model) {
+  std::vector<nn::Embedding*> carriers;
   for (nn::Module* m : model.SelfAndDescendants()) {
     auto* embedding = dynamic_cast<nn::Embedding*>(m);
     if (embedding != nullptr && embedding->store() != nullptr) {
-      embedding->DetachStore();
-      ++detached;
+      carriers.push_back(embedding);
     }
   }
-  return detached;
+  return carriers;
+}
+
+// Strips every quantized store from `model`; returns how many embeddings
+// were carrying one. Caller guarantees no concurrent forward on `model`
+// (idle or quiesced slot).
+int DetachEmbeddingStores(models::TabularModel& model) {
+  const std::vector<nn::Embedding*> carriers = StoreCarriers(model);
+  for (nn::Embedding* embedding : carriers) embedding->DetachStore();
+  return static_cast<int>(carriers.size());
 }
 
 }  // namespace
@@ -204,7 +210,6 @@ void PredictionService::Shutdown() {
 
 std::shared_ptr<PendingPrediction> PredictionService::Submit(
     const std::vector<std::string>& cells, double deadline_seconds) {
-  ARMNET_PROFILE_COUNT("serve/submitted", 1);
   auto pending = std::make_shared<PendingPrediction>();
   pending->submitted_at_ = clock_->NowSeconds();
   CounterShard& shard = *shards_[0];
@@ -216,7 +221,6 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
   data::MappedRow mapped;
   Status status = space_.MapRow(cells, &mapped);
   if (!status.ok()) {
-    ARMNET_PROFILE_COUNT("serve/rejected_invalid", 1);
     {
       MutexLock guard(shard.mutex);
       ++shard.counters.rejected_invalid;
@@ -231,8 +235,6 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
   pending->oov_field_indices_ = std::move(mapped.oov_field_indices);
   pending->clamped_field_indices_ = std::move(mapped.clamped_field_indices);
   if (mapped.oov_fields > 0 || mapped.clamped_fields > 0) {
-    ARMNET_PROFILE_COUNT("serve/oov_fields", mapped.oov_fields);
-    ARMNET_PROFILE_COUNT("serve/clamped_fields", mapped.clamped_fields);
     MutexLock guard(shard.mutex);
     shard.counters.oov_fields += mapped.oov_fields;
     shard.counters.clamped_fields += mapped.clamped_fields;
@@ -243,7 +245,6 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
                             : deadline_seconds;
   pending->deadline_ = pending->submitted_at_ + budget;
   if (budget <= 0) {
-    ARMNET_PROFILE_COUNT("serve/expired", 1);
     {
       MutexLock guard(shard.mutex);
       ++shard.counters.expired;
@@ -289,7 +290,6 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
   if (!accepting) {
     // Lost the race with Shutdown: still a typed terminal, never a hung
     // ticket.
-    ARMNET_PROFILE_COUNT("serve/failed", 1);
     {
       MutexLock guard(shard.mutex);
       ++shard.counters.failed;
@@ -299,7 +299,6 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
     return pending;
   }
   if (!admitted) {
-    ARMNET_PROFILE_COUNT("serve/rejected_overload", 1);
     {
       MutexLock guard(shard.mutex);
       ++shard.counters.rejected_overload;
@@ -311,7 +310,6 @@ std::shared_ptr<PendingPrediction> PredictionService::Submit(
     return pending;
   }
   if (!victims.empty()) {
-    ARMNET_PROFILE_COUNT("serve/shed", static_cast<int64_t>(victims.size()));
     {
       MutexLock guard(shard.mutex);
       shard.counters.shed += static_cast<int64_t>(victims.size());
@@ -363,7 +361,6 @@ int64_t PredictionService::DrainBatch(int shard_index) {
   int64_t newly_expired = 0;
   for (auto& pending : taken) {
     if (pending->deadline_ <= now) {
-      ARMNET_PROFILE_COUNT("serve/expired", 1);
       ++newly_expired;
       CompleteTerminal(*pending, ServeCode::kDeadlineExceeded,
                        "deadline expired in queue");
@@ -426,8 +423,8 @@ void PredictionService::WorkerLoop(int worker_index) {
 
 models::TabularModel* PredictionService::AcquireActiveModel(int* slot) {
   MutexLock lock(model_mutex_);
-  // Only an in-place (no-standby) reload ever makes readers wait; the RCU
-  // path swaps the active index without touching quiescing_.
+  // Only RunQuiesced (the no-standby reload and store attach) makes readers
+  // wait; the RCU path swaps the active index without touching quiescing_.
   model_cv_.Wait(model_mutex_,
                  [this]() ARMNET_REQUIRES(model_mutex_) { return !quiescing_; });
   *slot = active_index_;
@@ -441,10 +438,28 @@ void PredictionService::ReleaseActiveModel(int slot) {
   if (slot_readers_[slot] == 0) model_cv_.NotifyAll();
 }
 
+void PredictionService::RunQuiesced(
+    const std::function<void(int active)>& mutate) {
+  int active;
+  {
+    MutexLock lock(model_mutex_);
+    quiescing_ = true;
+    model_cv_.Wait(model_mutex_, [this]() ARMNET_REQUIRES(model_mutex_) {
+      return slot_readers_[0] == 0 && slot_readers_[1] == 0;
+    });
+    active = active_index_;
+  }
+  mutate(active);
+  {
+    MutexLock lock(model_mutex_);
+    quiescing_ = false;
+  }
+  model_cv_.NotifyAll();
+}
+
 void PredictionService::ProcessBatch(
     const std::vector<std::shared_ptr<PendingPrediction>>& batch,
     int shard_index) {
-  ARMNET_PROFILE_SCOPE("serve/ProcessBatch");
   CounterShard& shard = *shards_[static_cast<size_t>(shard_index)];
   // An injected stall models a slow forward (page-in, contended CPU): the
   // clock jumps so requests queued behind this batch see their deadlines
@@ -485,8 +500,6 @@ void PredictionService::ProcessBatch(
     return;
   }
   breaker_.RecordSuccess();
-  ARMNET_PROFILE_COUNT("serve/completed_ok",
-                       static_cast<int64_t>(batch.size()));
   {
     // One critical section for the batch and its outcomes: a concurrent
     // counters() snapshot can never observe the batch without its
@@ -526,7 +539,6 @@ data::Batch PredictionService::AssembleBatch(
 bool PredictionService::ForwardBatch(models::TabularModel& model,
                                      const data::Batch& b,
                                      std::vector<float>* logits) {
-  ARMNET_PROFILE_SCOPE("serve/Forward");
   // The model is in eval mode for the service's lifetime and the caller
   // holds an RCU reader reference (reloads stage only into reader-free
   // slots), so the tape-free, pooled forward is a pure read — safe
@@ -551,7 +563,6 @@ bool PredictionService::ForwardBatch(models::TabularModel& model,
 void PredictionService::Degrade(
     const std::vector<std::shared_ptr<PendingPrediction>>& batch,
     CounterShard& shard, const std::string& why) {
-  ARMNET_PROFILE_SCOPE("serve/Degrade");
   if (fallback_ != nullptr) {
     const data::Batch b = AssembleBatch(batch);
     std::vector<float> logits;
@@ -559,8 +570,6 @@ void PredictionService::Degrade(
     // through it are pure reads — no lock, no reader reference needed.
     const bool finite = ForwardBatch(*fallback_, b, &logits);
     if (finite) {
-      ARMNET_PROFILE_COUNT("serve/degraded_fallback",
-                           static_cast<int64_t>(batch.size()));
       {
         MutexLock guard(shard.mutex);
         shard.counters.degraded_fallback += static_cast<int64_t>(batch.size());
@@ -574,8 +583,6 @@ void PredictionService::Degrade(
   }
   if (options_.degrade_to_prior) {
     const float logit = PriorLogit(space_.train_positive_rate());
-    ARMNET_PROFILE_COUNT("serve/degraded_prior",
-                         static_cast<int64_t>(batch.size()));
     {
       MutexLock guard(shard.mutex);
       shard.counters.degraded_prior += static_cast<int64_t>(batch.size());
@@ -585,7 +592,6 @@ void PredictionService::Degrade(
     }
     return;
   }
-  ARMNET_PROFILE_COUNT("serve/failed", static_cast<int64_t>(batch.size()));
   {
     MutexLock guard(shard.mutex);
     shard.counters.failed += static_cast<int64_t>(batch.size());
@@ -646,8 +652,6 @@ void PredictionService::HandleDriftEvents(int shard_index) {
   if (!drift_->enabled()) return;
   const DriftEvents events = drift_->EvaluateAlerts();
   if (!events.raised.empty()) {
-    ARMNET_PROFILE_COUNT("serve/drift_alerts",
-                         static_cast<int64_t>(events.raised.size()));
     {
       CounterShard& shard = *shards_[static_cast<size_t>(shard_index)];
       MutexLock guard(shard.mutex);
@@ -685,7 +689,6 @@ void PredictionService::MirrorToShadow(const data::Batch& b,
                                             fraction);
     if (after == before) return;
   }
-  ARMNET_PROFILE_SCOPE("serve/ShadowForward");
   // An armed shadow stall parks this worker briefly in REAL time — never
   // the service clock — modeling a slow candidate. Queued primary requests
   // wait a little longer for this worker, but no deadline burns faster and
@@ -716,14 +719,12 @@ void PredictionService::MirrorToShadow(const data::Batch& b,
     return;
   }
   shadow_eval_.Record(primary_logits, shadow_logits);
-  ARMNET_PROFILE_COUNT("serve/shadow_mirrored_rows", b.batch_size);
   MutexLock guard(shard.mutex);
   ++shard.counters.shadow_mirrored_batches;
   shard.counters.shadow_mirrored_rows += b.batch_size;
 }
 
 Status PredictionService::LoadShadowModel(const std::string& path) {
-  ARMNET_PROFILE_SCOPE("serve/LoadShadowModel");
   if (shadow_slot_ == nullptr) {
     return Status::Error(
         "no shadow slot configured: pass a shadow model to the constructor");
@@ -745,7 +746,6 @@ Status PredictionService::LoadShadowModel(const std::string& path) {
   }
   CounterShard& shard = *shards_[0];
   if (!status.ok()) {
-    ARMNET_PROFILE_COUNT("serve/shadow_loads_rejected", 1);
     {
       MutexLock guard(shard.mutex);
       ++shard.counters.shadow_loads_rejected;
@@ -753,7 +753,6 @@ Status PredictionService::LoadShadowModel(const std::string& path) {
     RecordIncident("shadow candidate rejected: " + status.message());
     return status;
   }
-  ARMNET_PROFILE_COUNT("serve/shadow_loads", 1);
   {
     MutexLock guard(shard.mutex);
     ++shard.counters.shadow_loads;
@@ -763,7 +762,6 @@ Status PredictionService::LoadShadowModel(const std::string& path) {
 }
 
 Status PredictionService::PromoteShadow() {
-  ARMNET_PROFILE_SCOPE("serve/PromoteShadow");
   std::string path;
   {
     MutexLock lock(shadow_mutex_);
@@ -803,7 +801,6 @@ Status PredictionService::PromoteShadow() {
   }
   CounterShard& shard = *shards_[0];
   if (!refusal.empty()) {
-    ARMNET_PROFILE_COUNT("serve/shadow_promotions_refused", 1);
     {
       MutexLock guard(shard.mutex);
       ++shard.counters.shadow_promotions_refused;
@@ -816,7 +813,6 @@ Status PredictionService::PromoteShadow() {
   // outgoing primary against the candidate is harmless.
   Status status = ReloadModel(path);
   if (!status.ok()) {
-    ARMNET_PROFILE_COUNT("serve/shadow_promotions_refused", 1);
     {
       MutexLock guard(shard.mutex);
       ++shard.counters.shadow_promotions_refused;
@@ -828,7 +824,6 @@ Status PredictionService::PromoteShadow() {
     MutexLock lock(shadow_mutex_);
     shadow_active_.store(false, std::memory_order_relaxed);
   }
-  ARMNET_PROFILE_COUNT("serve/shadow_promotions_ok", 1);
   {
     MutexLock guard(shard.mutex);
     ++shard.counters.shadow_promotions_ok;
@@ -848,7 +843,6 @@ void PredictionService::DismissShadow(const std::string& reason) {
     was_active = shadow_active_.exchange(false, std::memory_order_relaxed);
   }
   if (!was_active) return;
-  ARMNET_PROFILE_COUNT("serve/shadow_dismissed", 1);
   {
     CounterShard& shard = *shards_[0];
     MutexLock guard(shard.mutex);
@@ -892,9 +886,10 @@ PredictionService::DriftMetricsSnapshot() {
 }
 
 Status PredictionService::ReloadModel(const std::string& path) {
-  ARMNET_PROFILE_SCOPE("serve/ReloadModel");
   MutexLock reload_lock(reload_mutex_);
   Status status;
+  // Stores pair with the weights they were exported from, so the ones the
+  // outgoing active model carried stop serving with it.
   int stores_detached = 0;
   if (fault::ShouldFail(fault::kSiteServeReloadCorrupt,
                         fault::Kind::kFailOpen)) {
@@ -919,37 +914,29 @@ Status PredictionService::ReloadModel(const std::string& path) {
     status = nn::LoadState(*slots_[idle], path);
     if (status.ok()) {
       slots_[idle]->SetTraining(false);
-      // A quantized store pairs with the weights it was exported from;
-      // fresh weights make it stale, so it comes off before the publish.
-      stores_detached = DetachEmbeddingStores(*slots_[idle]);
+      // Stores left on the idle slot from when it last served pair with
+      // weights it no longer holds; they come off before the publish.
+      DetachEmbeddingStores(*slots_[idle]);
+      // Attaches only ever reach the active slot, and they are serialized
+      // by reload_mutex_, so this read-only count races no writer.
+      stores_detached =
+          static_cast<int>(StoreCarriers(*slots_[1 - idle]).size());
       // RCU publish: the next AcquireActiveModel serves the new weights.
       MutexLock lock(model_mutex_);
       active_index_ = idle;
     }
   } else {
-    // Legacy in-place reload: quiesce the forwards for the stage duration.
-    {
-      MutexLock lock(model_mutex_);
-      quiescing_ = true;
-      model_cv_.Wait(model_mutex_, [this]() ARMNET_REQUIRES(model_mutex_) {
-        return slot_readers_[0] == 0 && slot_readers_[1] == 0;
-      });
-    }
-    status = nn::LoadState(*slots_[0], path);
-    if (status.ok()) {
-      slots_[0]->SetTraining(false);
-      stores_detached = DetachEmbeddingStores(*slots_[0]);
-    }
-    {
-      MutexLock lock(model_mutex_);
-      quiescing_ = false;
-    }
-    model_cv_.NotifyAll();
+    // In-place reload: quiesce the forwards for the stage duration.
+    RunQuiesced([&](int active) {
+      status = nn::LoadState(*slots_[active], path);
+      if (!status.ok()) return;
+      slots_[active]->SetTraining(false);
+      stores_detached = DetachEmbeddingStores(*slots_[active]);
+    });
   }
 
   CounterShard& shard = *shards_[0];
   if (!status.ok()) {
-    ARMNET_PROFILE_COUNT("serve/reloads_rejected", 1);
     {
       MutexLock guard(shard.mutex);
       ++shard.counters.reloads_rejected;
@@ -958,14 +945,13 @@ Status PredictionService::ReloadModel(const std::string& path) {
                    status.message());
     return status;
   }
-  ARMNET_PROFILE_COUNT("serve/reloads_ok", 1);
   {
     MutexLock guard(shard.mutex);
     ++shard.counters.reloads_ok;
   }
   // The active model now carries no quantized store (RCU: the published
-  // slot was stripped above; in-place: slot 0 was), so the counter view
-  // must stop reporting the stale ones.
+  // slot was stripped above; in-place: the active slot was), so the counter
+  // view must stop reporting the stale ones.
   {
     MutexLock guard(store_mutex_);
     stores_attached_ = 0;
@@ -982,7 +968,6 @@ Status PredictionService::ReloadModel(const std::string& path) {
 }
 
 Status PredictionService::AttachEmbeddingStore(const std::string& path) {
-  ARMNET_PROFILE_SCOPE("serve/AttachEmbeddingStore");
   MutexLock reload_lock(reload_mutex_);
   // Open and fully validate the file BEFORE quiescing anything: a corrupt
   // or truncated store must cost the serving path nothing and leave the
@@ -996,28 +981,19 @@ Status PredictionService::AttachEmbeddingStore(const std::string& path) {
   }
   std::shared_ptr<QuantizedTable> store = std::move(opened).value();
 
-  // Quiesce in-flight forwards on both slots (the in-place-reload
-  // protocol): Embedding::AttachStore swaps the lookup route that workers
-  // read without a lock.
-  int active;
-  {
-    MutexLock lock(model_mutex_);
-    quiescing_ = true;
-    model_cv_.Wait(model_mutex_, [this]() ARMNET_REQUIRES(model_mutex_) {
-      return slot_readers_[0] == 0 && slot_readers_[1] == 0;
-    });
-    active = active_index_;
-  }
-
+  // Quiesce in-flight forwards on both slots: Embedding::AttachStore swaps
+  // the lookup route that workers read without a lock.
   int attached = 0;
-  for (nn::Module* m : slots_[active]->SelfAndDescendants()) {
-    auto* embedding = dynamic_cast<nn::Embedding*>(m);
-    if (embedding != nullptr && embedding->num_rows() == store->rows() &&
-        embedding->width() == store->width()) {
-      embedding->AttachStore(store);
-      ++attached;
+  RunQuiesced([&](int active) {
+    for (nn::Module* m : slots_[active]->SelfAndDescendants()) {
+      auto* embedding = dynamic_cast<nn::Embedding*>(m);
+      if (embedding != nullptr && embedding->num_rows() == store->rows() &&
+          embedding->width() == store->width()) {
+        embedding->AttachStore(store);
+        ++attached;
+      }
     }
-  }
+  });
   Status status;
   if (attached == 0) {
     status = Status::Error(StrFormat(
@@ -1027,13 +1003,6 @@ Status PredictionService::AttachEmbeddingStore(const std::string& path) {
         static_cast<long long>(store->width()),
         QuantKindName(store->kind())));
   }
-
-  {
-    MutexLock lock(model_mutex_);
-    quiescing_ = false;
-  }
-  model_cv_.NotifyAll();
-
   if (!status.ok()) {
     RecordIncident("embedding store rejected, model untouched: " +
                    status.message());
@@ -1043,7 +1012,6 @@ Status PredictionService::AttachEmbeddingStore(const std::string& path) {
     MutexLock guard(store_mutex_);
     ++stores_attached_;
   }
-  ARMNET_PROFILE_COUNT("serve/embedding_store_attached", 1);
   return Status::Ok();
 }
 
@@ -1075,9 +1043,10 @@ ServeCounters PredictionService::counters() const {
   return total;
 }
 
-std::vector<prof::CounterStats> PredictionService::CounterSnapshot() const {
+std::vector<std::pair<std::string, int64_t>>
+PredictionService::CounterSnapshot() const {
   const ServeCounters c = counters();
-  std::vector<prof::CounterStats> snapshot = {
+  std::vector<std::pair<std::string, int64_t>> snapshot = {
       {"serve/submitted", c.submitted},
       {"serve/rejected_invalid", c.rejected_invalid},
       {"serve/rejected_overload", c.rejected_overload},
@@ -1103,7 +1072,7 @@ std::vector<prof::CounterStats> PredictionService::CounterSnapshot() const {
       {"serve/shadow_dismissed", c.shadow_dismissed},
   };
   // Quantized embedding storage: one row even when nothing is attached, so
-  // the run-metrics schema is stable across configurations.
+  // the snapshot's rows are the same in every configuration.
   int64_t stores = 0;
   {
     MutexLock guard(store_mutex_);

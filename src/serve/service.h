@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,7 +19,6 @@
 #include "serve/shadow.h"
 #include "tensor/storage_pool.h"
 #include "util/clock.h"
-#include "util/profiler.h"
 #include "util/status.h"
 #include "util/sync.h"
 
@@ -53,8 +53,8 @@ namespace armnet::serve {
 // configured, `ReloadModel` stages `LoadState` into the idle model copy off
 // the serving path and publishes it with an RCU-style swap — workers never
 // wait on a reload, and a corrupt file leaves the active copy untouched.
-// Without a standby the legacy in-place reload quiesces the forwards for
-// the duration of the stage.
+// Without a standby the in-place reload quiesces the forwards for the
+// duration of the stage, as AttachEmbeddingStore always does.
 //
 // Drift monitoring and shadow deployment (DESIGN.md §15) close the loop
 // around the served model. When the serving artifact carries a
@@ -62,7 +62,7 @@ namespace armnet::serve {
 // rates and score-distribution PSI against it, updated and evaluated only
 // on the worker drain path (the `drift-drain` lint rule keeps this out of
 // Submit); a latched alert degrades Ready() and surfaces as incidents and
-// the run-metrics `drift` section. A candidate model staged through
+// in DriftMetricsSnapshot(). A candidate model staged through
 // LoadShadowModel sees a mirrored fraction of drained batches AFTER the
 // primary completions are delivered: shadow latency never counts against a
 // primary deadline and shadow failures never touch the circuit breaker.
@@ -335,8 +335,8 @@ class PredictionService {
   bool DriftAlertActive() const;
   // Windowed drift state: per-field rates vs baselines, score PSI.
   DriftSnapshotData DriftSnapshot();
-  // The run-metrics `drift` section: drift snapshot flattened to
-  // name/value pairs plus the shadow delta statistics.
+  // Drift snapshot flattened to name/value pairs plus the shadow delta
+  // statistics (bench_serving's `drift/section` row).
   std::vector<std::pair<std::string, double>> DriftMetricsSnapshot();
 
   // Liveness: the service accepts submissions (true until shutdown begins).
@@ -351,11 +351,10 @@ class PredictionService {
   // exactly at quiescence; mid-flight snapshots may observe a submission
   // before its terminal bucket.
   ServeCounters counters() const;
-  // Counter snapshot in the profiler's CounterStats shape, for embedding
-  // into armor::RunMetrics ("serve" section of the run-metrics JSON).
-  std::vector<prof::CounterStats> CounterSnapshot() const;
-  // Continuous operating-point gauges (adaptive batch wait, windowed p99),
-  // for the run-metrics "serve_gauges" section.
+  // counters() as named rows ("serve/submitted", ...) plus the attached
+  // embedding-store count; bench_serving's `counters/total` row.
+  std::vector<std::pair<std::string, int64_t>> CounterSnapshot() const;
+  // Continuous operating-point gauges (adaptive batch wait, windowed p99).
   std::vector<std::pair<std::string, double>> GaugeSnapshot() const;
 
   // Operator-visible anomalies (rejected reloads, degradation activations).
@@ -422,13 +421,19 @@ class PredictionService {
                       int shard_index) ARMNET_EXCLUDES(shadow_mutex_);
 
   // RCU reader side: returns the active model with this thread registered
-  // as a reader of its slot (blocks only while an in-place reload is
-  // quiescing). The weights of a slot with a nonzero reader count are never
-  // mutated — ReloadModel stages only into a quiesced slot — so the forward
-  // itself runs without any lock held.
+  // as a reader of its slot (blocks only while RunQuiesced runs). The
+  // weights of a slot with a nonzero reader count are never mutated —
+  // ReloadModel stages only into a quiesced slot — so the forward itself
+  // runs without any lock held.
   models::TabularModel* AcquireActiveModel(int* slot)
       ARMNET_EXCLUDES(model_mutex_);
   void ReleaseActiveModel(int slot) ARMNET_EXCLUDES(model_mutex_);
+  // The in-place protocol: blocks new readers, waits until no forward holds
+  // either slot, runs `mutate(active slot index)`, then lets readers back
+  // in. For the no-standby reload and AttachEmbeddingStore, which mutate
+  // module state that workers read without a lock.
+  void RunQuiesced(const std::function<void(int active)>& mutate)
+      ARMNET_EXCLUDES(model_mutex_);
 
   // Model slots. slots_[0] is the constructor's `model`, slots_[1] the
   // optional standby (null when not configured). The array entries are set
@@ -452,7 +457,7 @@ class PredictionService {
   CondVar model_cv_;
   int active_index_ ARMNET_GUARDED_BY(model_mutex_) = 0;
   int64_t slot_readers_[2] ARMNET_GUARDED_BY(model_mutex_) = {0, 0};
-  // True while an in-place (no-standby) reload drains and blocks readers.
+  // True while RunQuiesced drains and blocks readers.
   bool quiescing_ ARMNET_GUARDED_BY(model_mutex_) = false;
 
   TensorPool pool_;  // internally synchronized

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "util/check.h"
-#include "util/profiler.h"
 
 namespace armnet {
 
@@ -67,48 +66,39 @@ namespace kernels {
 
 void VecAdd(const float* a, const float* b, float* out, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS3(a, b, out, n);
-  ARMNET_PROFILE_COUNT("kernel/VecAdd", 1);
   ARMNET_DISPATCH(VecAdd, a, b, out, n);
 }
 void VecSub(const float* a, const float* b, float* out, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS3(a, b, out, n);
-  ARMNET_PROFILE_COUNT("kernel/VecSub", 1);
   ARMNET_DISPATCH(VecSub, a, b, out, n);
 }
 void VecMul(const float* a, const float* b, float* out, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS3(a, b, out, n);
-  ARMNET_PROFILE_COUNT("kernel/VecMul", 1);
   ARMNET_DISPATCH(VecMul, a, b, out, n);
 }
 void VecDiv(const float* a, const float* b, float* out, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS3(a, b, out, n);
-  ARMNET_PROFILE_COUNT("kernel/VecDiv", 1);
   ARMNET_DISPATCH(VecDiv, a, b, out, n);
 }
 void VecScale(const float* a, float s, float* out, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS2(a, out, n);
-  ARMNET_PROFILE_COUNT("kernel/VecScale", 1);
   ARMNET_DISPATCH(VecScale, a, s, out, n);
 }
 void VecAxpy(float alpha, const float* x, float* y, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS2(x, y, n);
-  ARMNET_PROFILE_COUNT("kernel/VecAxpy", 1);
   ARMNET_DISPATCH(VecAxpy, alpha, x, y, n);
 }
 void VecExp(const float* a, float* out, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS2(a, out, n);
-  ARMNET_PROFILE_COUNT("kernel/VecExp", 1);
   ARMNET_DISPATCH(VecExp, a, out, n);
 }
 float VecDot(const float* a, const float* b, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS2(a, b, n);
-  ARMNET_PROFILE_COUNT("kernel/VecDot", 1);
   ARMNET_DISPATCH(VecDot, a, b, n);
 }
 float VecSum(const float* a, int64_t n) {
   ARMNET_DCHECK_GE(n, 0);
   ARMNET_DCHECK(n == 0 || a != nullptr);
-  ARMNET_PROFILE_COUNT("kernel/VecSum", 1);
   ARMNET_DISPATCH(VecSum, a, n);
 }
 void Gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
@@ -117,17 +107,14 @@ void Gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
   ARMNET_DCHECK(m == 0 || n == 0 || c != nullptr);
   ARMNET_DCHECK(m == 0 || n == 0 || k == 0 ||
                 (a != nullptr && b != nullptr));
-  ARMNET_PROFILE_COUNT("kernel/Gemm", 1);
   ARMNET_DISPATCH(Gemm, m, n, k, a, b, beta, c);
 }
 void DequantRowI8(const int8_t* src, float scale, float* out, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS2(src, out, n);
-  ARMNET_PROFILE_COUNT("kernel/DequantRowI8", 1);
   ARMNET_DISPATCH(DequantRowI8, src, scale, out, n);
 }
 void DequantRowF16(const uint16_t* src, float* out, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS2(src, out, n);
-  ARMNET_PROFILE_COUNT("kernel/DequantRowF16", 1);
   // The fp16 SIMD path needs F16C on top of AVX2+FMA; fall back to the
   // portable bit-twiddle conversion when the CPU lacks it.
   if (GetBackend() == Backend::kSimd && F16cAvailable()) {
@@ -138,7 +125,6 @@ void DequantRowF16(const uint16_t* src, float* out, int64_t n) {
 
 void VecSupportPow(const float* a, float exponent, float* out, int64_t n) {
   ARMNET_KERNEL_PRECONDITIONS2(a, out, n);
-  ARMNET_PROFILE_COUNT("kernel/VecSupportPow", 1);
   ARMNET_DISPATCH(VecSupportPow, a, exponent, out, n);
 }
 void EntmaxRows(const float* z, float* p, int64_t rows, int64_t d,
@@ -146,7 +132,6 @@ void EntmaxRows(const float* z, float* p, int64_t rows, int64_t d,
   ARMNET_DCHECK(rows >= 0 && d > 0);
   ARMNET_DCHECK(rows == 0 || (z != nullptr && p != nullptr));
   ARMNET_DCHECK(alpha > 1.0f);
-  ARMNET_PROFILE_COUNT("kernel/EntmaxRows", 1);
   ARMNET_DISPATCH(EntmaxRows, z, p, rows, d, alpha);
 }
 

@@ -4,7 +4,7 @@
 // virtual clock, PSI score-shift detection, shadow mirroring with the
 // promotion protocol (allowed in bounds, typed refusal with evidence
 // beyond), stall/NaN isolation of the shadow path from the primary, the
-// accounting identity under shadowing, the run-metrics drift section, and
+// accounting identity under shadowing, the drift metrics snapshot, and
 // PredictTable's row-error policies.
 
 #include <algorithm>
@@ -13,11 +13,11 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "armor/run_metrics.h"
 #include "data/feature_space.h"
 #include "data/loader.h"
 #include "models/lr.h"
@@ -519,26 +519,28 @@ TEST(ShadowTest, AccountingIdentityHoldsUnderShadowing) {
   EXPECT_GT(counters.shadow_mirrored_rows, 0);
 }
 
-// --- Run-metrics drift section ------------------------------------------------
+// --- Drift metrics snapshot --------------------------------------------------
 
-TEST(DriftMetricsTest, RunMetricsJsonCarriesDriftSection) {
-  Fixture fx("drift_json");
+TEST(DriftMetricsTest, SnapshotCarriesDriftAndShadowRows) {
+  Fixture fx("drift_snapshot");
   PredictionService service(fx.model.get(), fx.space, fx.ManualOptions(),
                             &fx.clock);
   for (int i = 0; i < 8; ++i) {
     (void)service.Submit({"sf", "15"});
   }
   Pump(service);
-  const armor::RunMetrics metrics = armor::CaptureRunMetrics(
-      nullptr, service.CounterSnapshot(), service.GaugeSnapshot(),
-      service.DriftMetricsSnapshot());
-  ASSERT_TRUE(metrics.has_drift);
-  const std::string json = armor::RunMetricsJson(metrics);
-  EXPECT_NE(json.find("\"drift\":[{\"name\":\"drift/enabled\",\"value\":1"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("drift/field/city/oov_rate"), std::string::npos);
-  EXPECT_NE(json.find("shadow/mean_abs_delta"), std::string::npos);
+  const std::vector<std::pair<std::string, double>> metrics =
+      service.DriftMetricsSnapshot();
+  auto find = [&metrics](const std::string& name) {
+    return std::find_if(
+        metrics.begin(), metrics.end(),
+        [&name](const auto& row) { return row.first == name; });
+  };
+  const auto enabled = find("drift/enabled");
+  ASSERT_NE(enabled, metrics.end());
+  EXPECT_EQ(enabled->second, 1.0);
+  EXPECT_NE(find("drift/field/city/oov_rate"), metrics.end());
+  EXPECT_NE(find("shadow/mean_abs_delta"), metrics.end());
 }
 
 // --- PredictTable -------------------------------------------------------------

@@ -1,16 +1,12 @@
-// Tests for the observability layer (DESIGN.md §10): the scoped-timer
-// profiler's compile/runtime gates and statistics, the JSON emitter, the
-// unified RunMetrics snapshot, evaluator divergence/telemetry fields, and
-// the trainer's per-epoch JSONL records.
-
-#include "armor/run_metrics.h"
+// Tests for the observability layer (DESIGN.md §10): the JSON emitter,
+// evaluator divergence/telemetry fields, and the trainer's per-epoch JSONL
+// records.
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +17,6 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "util/json.h"
-#include "util/profiler.h"
 
 namespace armnet {
 namespace {
@@ -66,146 +61,6 @@ TEST(JsonWriterTest, NonFiniteDoublesSerializeAsNull) {
   w.Double(1.5);
   w.EndArray();
   EXPECT_EQ(w.str(), "[null,null,null,1.5]");
-}
-
-// --- Profiler gates and statistics -------------------------------------
-
-// The macros must compile and run in both configurations; whether they
-// record anything is governed by CompiledIn(). Helpers keep the macro
-// call sites out of the EXPECT lines.
-void TimedWork() {
-  ARMNET_PROFILE_SCOPE("test/timed_work");
-  // Enough work that elapsed time is measurable but tiny.
-  double total = 0;
-  for (int i = 0; i < 1000; ++i) total += std::sqrt(static_cast<double>(i));
-  volatile double sink = total;
-  static_cast<void>(sink);
-}
-
-void BumpTestCounter([[maybe_unused]] int64_t delta) {
-  ARMNET_PROFILE_COUNT("test/bumps", delta);
-}
-
-const prof::ScopeStats* FindScope(const std::vector<prof::ScopeStats>& all,
-                                  const std::string& name) {
-  for (const prof::ScopeStats& s : all) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
-}
-
-const prof::CounterStats* FindCounter(
-    const std::vector<prof::CounterStats>& all, const std::string& name) {
-  for (const prof::CounterStats& c : all) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
-}
-
-TEST(ProfilerTest, RuntimeGateTogglesRecording) {
-  prof::Reset();
-  prof::SetEnabled(false);
-  EXPECT_FALSE(prof::IsEnabled());
-  TimedWork();
-  const std::vector<prof::ScopeStats> while_off = prof::ScopeSnapshot();
-  const prof::ScopeStats* off = FindScope(while_off, "test/timed_work");
-  if (off != nullptr) {
-    EXPECT_EQ(off->count, 0);
-  }
-
-  prof::SetEnabled(true);
-  TimedWork();
-  TimedWork();
-  prof::SetEnabled(false);
-
-  const std::vector<prof::ScopeStats> scopes = prof::ScopeSnapshot();
-  if (!prof::CompiledIn()) {
-    // Compiled out: the macros are no-ops and snapshots stay empty.
-    EXPECT_TRUE(scopes.empty());
-    return;
-  }
-  const prof::ScopeStats* s = FindScope(scopes, "test/timed_work");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->count, 2);
-  EXPECT_GE(s->min_ms, 0.0);
-  EXPECT_LE(s->min_ms, s->p50_ms);
-  EXPECT_LE(s->p50_ms, s->p99_ms);
-  EXPECT_LE(s->p99_ms, s->max_ms);
-  EXPECT_GE(s->total_ms, s->max_ms);
-  EXPECT_LE(s->total_ms, 2 * s->max_ms + 1e-9);
-}
-
-TEST(ProfilerTest, ResetZeroesStatistics) {
-  if (!prof::CompiledIn()) GTEST_SKIP() << "profiler compiled out";
-  prof::Reset();
-  prof::SetEnabled(true);
-  TimedWork();
-  BumpTestCounter(5);
-  prof::SetEnabled(false);
-  const std::vector<prof::ScopeStats> before = prof::ScopeSnapshot();
-  ASSERT_NE(FindScope(before, "test/timed_work"), nullptr);
-
-  prof::Reset();
-  const std::vector<prof::ScopeStats> scopes = prof::ScopeSnapshot();
-  const prof::ScopeStats* s = FindScope(scopes, "test/timed_work");
-  if (s != nullptr) {
-    EXPECT_EQ(s->count, 0);
-  }
-  const std::vector<prof::CounterStats> counters = prof::CounterSnapshot();
-  const prof::CounterStats* c = FindCounter(counters, "test/bumps");
-  if (c != nullptr) {
-    EXPECT_EQ(c->count, 0);
-  }
-}
-
-TEST(ProfilerTest, CountersAccumulateAcrossThreads) {
-  if (!prof::CompiledIn()) GTEST_SKIP() << "profiler compiled out";
-  prof::Reset();
-  prof::SetEnabled(true);
-  constexpr int kThreads = 4;
-  constexpr int kBumpsPerThread = 1000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([] {
-      for (int i = 0; i < kBumpsPerThread; ++i) {
-        BumpTestCounter(1);
-        TimedWork();
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  prof::SetEnabled(false);
-
-  const std::vector<prof::CounterStats> counters = prof::CounterSnapshot();
-  const prof::CounterStats* c = FindCounter(counters, "test/bumps");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->count, kThreads * kBumpsPerThread);
-  const std::vector<prof::ScopeStats> scopes = prof::ScopeSnapshot();
-  const prof::ScopeStats* s = FindScope(scopes, "test/timed_work");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->count, kThreads * kBumpsPerThread);
-  prof::Reset();
-}
-
-// --- RunMetrics --------------------------------------------------------
-
-TEST(RunMetricsTest, CaptureAndSerialize) {
-  autograd::ResetTapeStats();
-  const armor::RunMetrics no_pool = armor::CaptureRunMetrics();
-  EXPECT_FALSE(no_pool.has_pool);
-  const std::string json = armor::RunMetricsJson(no_pool);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"tape\":{\"nodes_recorded\":"), std::string::npos);
-  EXPECT_EQ(json.find("\"pool\""), std::string::npos);
-  EXPECT_NE(json.find("\"scopes\":["), std::string::npos);
-  EXPECT_NE(json.find("\"counters\":["), std::string::npos);
-
-  TensorPool pool;
-  const armor::RunMetrics with_pool = armor::CaptureRunMetrics(&pool);
-  EXPECT_TRUE(with_pool.has_pool);
-  const std::string pool_json = armor::RunMetricsJson(with_pool);
-  EXPECT_NE(pool_json.find("\"pool\":{\"hits\":0"), std::string::npos);
 }
 
 // --- Evaluator telemetry and divergence reporting ----------------------

@@ -5,6 +5,7 @@
 // accounting, the shutdown race, and the end-to-end train → persist → serve
 // demo.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -13,12 +14,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "armor/evaluator.h"
-#include "armor/run_metrics.h"
 #include "armor/trainer.h"
 #include "core/arm_net.h"
 #include "data/feature_space.h"
@@ -990,7 +991,7 @@ TEST(ServeE2ETest, TrainPersistServeDemo) {
   EXPECT_EQ(past_deadline->Wait().code, ServeCode::kDeadlineExceeded);
 
   // Counter accounting: every submission reached exactly one terminal
-  // bucket, and the snapshot lands in the run-metrics JSON.
+  // bucket, and the named snapshots carry it.
   const serve::ServeCounters counters = service.counters();
   EXPECT_EQ(counters.submitted, 6);
   EXPECT_EQ(counters.Terminal(), counters.submitted);
@@ -1000,14 +1001,18 @@ TEST(ServeE2ETest, TrainPersistServeDemo) {
   EXPECT_EQ(counters.oov_fields, 1);
   EXPECT_EQ(counters.clamped_fields, 1);
 
-  const armor::RunMetrics metrics = armor::CaptureRunMetrics(
-      nullptr, service.CounterSnapshot(), service.GaugeSnapshot());
-  const std::string json = armor::RunMetricsJson(metrics);
-  EXPECT_NE(json.find("\"serve\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"serve/submitted\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"serve_gauges\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"serve/batch_wait_seconds\""), std::string::npos)
-      << json;
+  const std::vector<std::pair<std::string, int64_t>> snapshot =
+      service.CounterSnapshot();
+  const auto submitted = std::find_if(
+      snapshot.begin(), snapshot.end(),
+      [](const auto& row) { return row.first == "serve/submitted"; });
+  ASSERT_NE(submitted, snapshot.end());
+  EXPECT_EQ(submitted->second, 6);
+  const std::vector<std::pair<std::string, double>> gauges =
+      service.GaugeSnapshot();
+  EXPECT_TRUE(std::any_of(gauges.begin(), gauges.end(), [](const auto& row) {
+    return row.first == "serve/batch_wait_seconds";
+  }));
 }
 
 // --- Quantized embedding stores (DESIGN.md §14) ------------------------------
@@ -1020,83 +1025,96 @@ nn::Embedding* FirstEmbedding(models::TabularModel& model) {
 }
 
 TEST(PredictionServiceTest, MmapEmbeddingStoreServesAndDetachesOnReload) {
-  ServiceFixture fx("svc_embed_store");
+  // Once with the in-place reload and once with the warm-standby RCU reload:
+  // either way the store comes off with the weights it was exported for.
+  for (const bool with_standby : {false, true}) {
+    SCOPED_TRACE(with_standby ? "warm standby" : "no standby");
+    ServiceFixture fx(with_standby ? "svc_embed_store_standby"
+                                   : "svc_embed_store");
+    Rng standby_rng(5);
+    models::Lr standby(fx.space.schema().num_features(), standby_rng);
 
-  // Distinctive embedding weights (bias stays 0), exported to a store file
-  // BEFORE the weights are zeroed: if serving later reproduces this logit,
-  // it can only have come through the mmap-backed store.
-  nn::Embedding* embedding = FirstEmbedding(*fx.model);
-  ASSERT_NE(embedding, nullptr);
-  Variable table_var = embedding->table();  // shared handle onto the param
-  Tensor& table = table_var.mutable_value();
-  std::fill(table.data(), table.data() + table.numel(), 0.5f);
-  const std::string store_path =
-      ::testing::TempDir() + "/svc_embed_store.arms";
-  ASSERT_TRUE(
-      nn::SaveEmbeddingStore(
-          *QuantizedTable::Quantize(table, QuantKind::kFloat32), store_path)
-          .ok());
+    // Distinctive embedding weights (bias stays 0), exported to a store
+    // file BEFORE the weights are zeroed: if serving later reproduces this
+    // logit, it can only have come through the mmap-backed store.
+    nn::Embedding* embedding = FirstEmbedding(*fx.model);
+    ASSERT_NE(embedding, nullptr);
+    Variable table_var = embedding->table();  // shared handle onto the param
+    Tensor& table = table_var.mutable_value();
+    std::fill(table.data(), table.data() + table.numel(), 0.5f);
+    const std::string store_path =
+        ::testing::TempDir() + "/svc_embed_store.arms";
+    ASSERT_TRUE(
+        nn::SaveEmbeddingStore(
+            *QuantizedTable::Quantize(table, QuantKind::kFloat32), store_path)
+            .ok());
 
-  PredictionService service(fx.model.get(), fx.space, fx.ManualOptions(),
-                            &fx.clock);
-  auto with_floats = service.Submit({"sf", "15"});
-  service.DrainOnce();
-  const float expected = with_floats->Wait().logit;
-  ASSERT_NE(expected, 0.0f);
+    PredictionService service(fx.model.get(), fx.space, fx.ManualOptions(),
+                              &fx.clock, /*fallback=*/nullptr,
+                              with_standby ? &standby : nullptr);
+    auto stores_attached = [&service]() {
+      for (const auto& [name, count] : service.CounterSnapshot()) {
+        if (name == "serve/embedding_stores_attached") return count;
+      }
+      return int64_t{-1};
+    };
+    auto with_floats = service.Submit({"sf", "15"});
+    service.DrainOnce();
+    const float expected = with_floats->Wait().logit;
+    ASSERT_NE(expected, 0.0f);
 
-  // Zero the float table: the float path now answers 0. Persist THESE
-  // weights — the reload at the end must visibly swap away from the store.
-  std::fill(table.data(), table.data() + table.numel(), 0.0f);
-  auto zeroed = service.Submit({"sf", "15"});
-  service.DrainOnce();
-  ASSERT_FLOAT_EQ(zeroed->Wait().logit, 0.0f);
-  const std::string weights_path =
-      ::testing::TempDir() + "/svc_embed_store.state";
-  ASSERT_TRUE(nn::SaveState(*fx.model, weights_path).ok());
+    // Zero the float table: the float path now answers 0. Persist THESE
+    // weights — the reload at the end must visibly swap away from the store.
+    std::fill(table.data(), table.data() + table.numel(), 0.0f);
+    auto zeroed = service.Submit({"sf", "15"});
+    service.DrainOnce();
+    ASSERT_FLOAT_EQ(zeroed->Wait().logit, 0.0f);
+    const std::string weights_path =
+        ::testing::TempDir() + "/svc_embed_store.state";
+    ASSERT_TRUE(nn::SaveState(*fx.model, weights_path).ok());
 
-  // A corrupt store file is rejected whole before any quiesce: the model is
-  // untouched and keeps serving the float path.
-  std::string bytes = ReadAll(store_path);
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
-  const std::string bad = store_path + ".corrupt";
-  WriteAll(bad, bytes);
-  EXPECT_FALSE(service.AttachEmbeddingStore(bad).ok());
-  ASSERT_FALSE(service.incidents().empty());
-  EXPECT_NE(service.incidents().back().find("embedding store rejected"),
-            std::string::npos);
-  auto untouched = service.Submit({"sf", "15"});
-  service.DrainOnce();
-  EXPECT_FLOAT_EQ(untouched->Wait().logit, 0.0f);
+    // A corrupt store file is rejected whole before any quiesce: the model
+    // is untouched and keeps serving the float path.
+    std::string bytes = ReadAll(store_path);
+    bytes[bytes.size() / 2] =
+        static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
+    const std::string bad = store_path + ".corrupt";
+    WriteAll(bad, bytes);
+    EXPECT_FALSE(service.AttachEmbeddingStore(bad).ok());
+    ASSERT_FALSE(service.incidents().empty());
+    EXPECT_NE(service.incidents().back().find("embedding store rejected"),
+              std::string::npos);
+    auto untouched = service.Submit({"sf", "15"});
+    service.DrainOnce();
+    EXPECT_FLOAT_EQ(untouched->Wait().logit, 0.0f);
 
-  // The good file attaches; no-grad serving now gathers the mapped 0.5
-  // rows bit-exactly (float32 store), restoring the original logit.
-  ASSERT_TRUE(service.AttachEmbeddingStore(store_path).ok());
-  auto served = service.Submit({"sf", "15"});
-  service.DrainOnce();
-  EXPECT_EQ(served->Wait().code, ServeCode::kOk);
-  EXPECT_FLOAT_EQ(served->Wait().logit, expected);
+    // The good file attaches; no-grad serving now gathers the mapped 0.5
+    // rows bit-exactly (float32 store), restoring the original logit.
+    ASSERT_TRUE(service.AttachEmbeddingStore(store_path).ok());
+    auto served = service.Submit({"sf", "15"});
+    service.DrainOnce();
+    EXPECT_EQ(served->Wait().code, ServeCode::kOk);
+    EXPECT_FLOAT_EQ(served->Wait().logit, expected);
+    EXPECT_EQ(stores_attached(), 1);
 
-  // The attachment reaches run_metrics through the counter snapshot.
-  int64_t stores_attached = -1;
-  for (const prof::CounterStats& c : service.CounterSnapshot()) {
-    if (c.name == "serve/embedding_stores_attached") stores_attached = c.count;
-  }
-  EXPECT_EQ(stores_attached, 1);
+    // Reloading weights detaches the store (it pairs with the weights it
+    // was exported from) and records an operator incident on that very
+    // reload; the reloaded all-zero float table serves again, atomically.
+    ASSERT_TRUE(service.ReloadModel(weights_path).ok());
+    ASSERT_FALSE(service.incidents().empty());
+    EXPECT_NE(service.incidents().back().find("detached 1 quantized"),
+              std::string::npos)
+        << service.incidents().back();
+    auto after_reload = service.Submit({"sf", "15"});
+    service.DrainOnce();
+    EXPECT_EQ(after_reload->Wait().code, ServeCode::kOk);
+    EXPECT_FLOAT_EQ(after_reload->Wait().logit, 0.0f);
+    EXPECT_EQ(stores_attached(), 0);
 
-  // Reloading weights detaches the store (it pairs with the weights it was
-  // exported from) and records an operator incident; the reloaded all-zero
-  // float table serves again, atomically.
-  ASSERT_TRUE(service.ReloadModel(weights_path).ok());
-  ASSERT_FALSE(service.incidents().empty());
-  EXPECT_NE(service.incidents().back().find("detached"), std::string::npos);
-  auto after_reload = service.Submit({"sf", "15"});
-  service.DrainOnce();
-  EXPECT_EQ(after_reload->Wait().code, ServeCode::kOk);
-  EXPECT_FLOAT_EQ(after_reload->Wait().logit, 0.0f);
-  for (const prof::CounterStats& c : service.CounterSnapshot()) {
-    if (c.name == "serve/embedding_stores_attached") {
-      EXPECT_EQ(c.count, 0);
-    }
+    // A second reload has no store left to detach and reports none.
+    const size_t incidents_before = service.incidents().size();
+    ASSERT_TRUE(service.ReloadModel(weights_path).ok());
+    EXPECT_EQ(service.incidents().size(), incidents_before);
   }
 }
 

@@ -22,9 +22,8 @@ tooling"):
   supp-policy  every entry in tools/sanitizers/*.supp carries an explanatory
                comment directly above it (empty-by-default policy)
   raw-chrono   no direct std::chrono use in src/ outside util/stopwatch.h and
-               the profiler; timing goes through Stopwatch (one steady-clock
-               choice) or ARMNET_PROFILE_SCOPE (so it aggregates into the
-               observability layer and compiles out of release)
+               CondVar::WaitFor (util/sync.cc); timing goes through
+               Stopwatch (one steady-clock choice)
   nograd-eval  evaluation entry points in src/armor/ and src/interpret/ must
                establish a NoGradGuard before calling a model Forward, so
                serving paths stay tape-free (allowlist: the trainer, whose
@@ -176,17 +175,13 @@ def check_raw_ofstream():
                        "text via util/csv.h WriteLines")
 
 
-# Ad-hoc std::chrono timing in library code bypasses the observability layer:
-# it picks its own clock (often the non-monotonic system_clock), and its
-# measurements never reach the profiler registry or BENCH_*.json. Timing
-# belongs in Stopwatch (the one steady_clock wrapper) or behind
-# ARMNET_PROFILE_SCOPE; only the timing primitives themselves may name the
+# Ad-hoc std::chrono timing in library code picks its own clock (often the
+# non-monotonic system_clock). Timing belongs in Stopwatch (the one
+# steady_clock wrapper); only the timing primitives themselves may name the
 # clock.
 CHRONO_RE = re.compile(r"(?<![\w:])std::chrono|#include\s*<chrono>")
 CHRONO_ALLOWLIST = {
     Path("util") / "stopwatch.h",  # the steady-clock wrapper itself
-    Path("util") / "profiler.h",   # scoped-timer instrumentation layer
-    Path("util") / "profiler.cc",
     Path("util") / "sync.cc",      # CondVar::WaitFor's timed wait
 }
 
@@ -199,8 +194,7 @@ def check_raw_chrono():
             if CHRONO_RE.search(strip_comments(raw)):
                 report(path, lineno, "raw-chrono",
                        "direct std::chrono outside the timing primitives; "
-                       "use util/stopwatch.h Stopwatch or "
-                       "ARMNET_PROFILE_SCOPE (util/profiler.h)")
+                       "use util/stopwatch.h Stopwatch")
 
 
 # Evaluation-only subsystems: every model Forward they issue must run under
