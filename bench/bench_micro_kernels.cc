@@ -13,15 +13,14 @@
 #include <string_view>
 #include <vector>
 
-#include "autograd/entmax.h"
 #include "autograd/grad_mode.h"
 #include "autograd/ops.h"
 #include "core/arm_net.h"
 #include "data/presets.h"
 #include "optim/adam.h"
+#include "tensor/entmax.h"
 #include "tensor/kernels.h"
 #include "tensor/quantized.h"
-#include "tensor/storage_pool.h"
 #include "tensor/tensor_ops.h"
 
 namespace {
@@ -97,7 +96,7 @@ void RunEntmax(benchmark::State& state, float score_std) {
   Rng rng(3);
   Tensor z = Tensor::Normal(Shape({rows, d}), 0, score_std, rng);
   for (auto _ : state) {
-    Tensor p = ag::EntmaxLastDimValue(z, alpha);
+    Tensor p = tmath::EntmaxLastDim(z, alpha);
     benchmark::DoNotOptimize(p.data());
   }
   state.SetItemsProcessed(state.iterations() * rows);
@@ -221,36 +220,9 @@ void BM_ArmNetTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ArmNetTrainStep)->Arg(0)->Arg(1);
 
-// Tensor allocation throughput: fresh heap vectors vs the size-bucketed
-// storage pool in steady state (same sizes every round, as in batched
-// inference). The pool's win is skipping malloc/free, not the zero-fill.
-void BM_TensorAlloc(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
-  const int64_t n = 4096 * 10;
-  TensorPool pool;
-  std::unique_ptr<ScopedTensorPool> scope;
-  if (pooled) scope = std::make_unique<ScopedTensorPool>(pool);
-  for (auto _ : state) {
-    Tensor a{Shape({n})};
-    Tensor b{Shape({n / 4})};
-    benchmark::DoNotOptimize(a.data());
-    benchmark::DoNotOptimize(b.data());
-  }
-  state.SetLabel(pooled ? "pooled" : "heap");
-  if (pooled) {
-    const TensorPoolStats stats = pool.stats();
-    state.counters["hit_rate"] =
-        stats.hits + stats.misses > 0
-            ? static_cast<double>(stats.hits) /
-                  static_cast<double>(stats.hits + stats.misses)
-            : 0.0;
-  }
-}
-BENCHMARK(BM_TensorAlloc)->Arg(0)->Arg(1);
-
 // Full ARM-Net eval-mode forward pass: the legacy taped configuration vs
-// the tape-free (NoGradGuard) + pooled execution mode every serving entry
-// point now uses. The delta is Table 3's inference speedup at micro scale.
+// the tape-free (NoGradGuard) execution mode every serving entry point now
+// uses. The delta is Table 3's inference speedup at micro scale.
 void BM_ArmNetInference(benchmark::State& state) {
   const bool tape_free = state.range(0) != 0;
   data::SyntheticSpec spec = data::FrappePreset();
@@ -268,20 +240,15 @@ void BM_ArmNetInference(benchmark::State& state) {
   for (int64_t i = 0; i < 512; ++i) all_rows.push_back(i);
   synthetic.dataset.Gather(all_rows, &batch);
   Rng eval_rng(6);
-  TensorPool pool;
   std::unique_ptr<NoGradGuard> no_grad;
-  std::unique_ptr<ScopedTensorPool> scope;
-  if (tape_free) {
-    no_grad = std::make_unique<NoGradGuard>();
-    scope = std::make_unique<ScopedTensorPool>(pool);
-  }
+  if (tape_free) no_grad = std::make_unique<NoGradGuard>();
   autograd::ResetTapeStats();
   for (auto _ : state) {
     Variable out = model.Forward(batch, eval_rng);
     benchmark::DoNotOptimize(out.value().data());
   }
   state.SetItemsProcessed(state.iterations() * batch.batch_size);
-  state.SetLabel(tape_free ? "nograd+pool" : "taped");
+  state.SetLabel(tape_free ? "nograd" : "taped");
   state.counters["tape_nodes_per_iter"] =
       state.iterations() > 0
           ? static_cast<double>(autograd::GetTapeStats().nodes_recorded) /

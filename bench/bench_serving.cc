@@ -1,5 +1,5 @@
 // Serving-path benchmark (DESIGN.md §11, §13): single-request latency
-// through the full validate → map → queue → pooled-forward pipeline, burst
+// through the full validate → map → queue → forward pipeline, burst
 // behaviour under offered load past the admission bound, hot-reload cost,
 // an open-loop Poisson worker-count × offered-load sweep, and reload churn
 // under sustained load.

@@ -6,20 +6,16 @@
 #include "autograd/grad_mode.h"
 #include "data/batcher.h"
 #include "metrics/metrics.h"
-#include "tensor/storage_pool.h"
 
 namespace armnet::armor {
 
 std::vector<float> PredictLogits(models::TabularModel& model,
                                  const data::Dataset& dataset,
-                                 int64_t batch_size,
-                                 TensorPoolStats* pool_stats) {
+                                 int64_t batch_size) {
   nn::TrainingModeGuard eval_mode(model, /*training=*/false);
-  // Tape-free, allocation-lean inference: no autograd nodes are recorded
-  // and each batch's intermediates recycle the previous batch's buffers.
+  // Tape-free inference: no autograd nodes are recorded, so each batch's
+  // intermediates die with the batch.
   NoGradGuard no_grad;
-  TensorPool pool;
-  ScopedTensorPool scoped_pool(pool);
   Rng rng(0);  // eval mode uses no randomness; any seed works
   std::vector<float> logits;
   logits.reserve(static_cast<size_t>(dataset.size()));
@@ -32,7 +28,6 @@ std::vector<float> PredictLogits(models::TabularModel& model,
     ARMNET_CHECK_EQ(values.numel(), batch.batch_size);
     for (int64_t i = 0; i < values.numel(); ++i) logits.push_back(values[i]);
   }
-  if (pool_stats != nullptr) *pool_stats = pool.stats();
   return logits;
 }
 
@@ -40,8 +35,7 @@ EvalResult Evaluate(models::TabularModel& model, const data::Dataset& dataset,
                     int64_t batch_size) {
   EvalResult result;
   const autograd::TapeStats tape_before = autograd::GetTapeStats();
-  const std::vector<float> logits =
-      PredictLogits(model, dataset, batch_size, &result.pool);
+  const std::vector<float> logits = PredictLogits(model, dataset, batch_size);
   const autograd::TapeStats tape_after = autograd::GetTapeStats();
   result.tape_nodes_recorded =
       tape_after.nodes_recorded - tape_before.nodes_recorded;

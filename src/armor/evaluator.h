@@ -6,18 +6,14 @@
 
 #include "core/tabular.h"
 #include "data/dataset.h"
-#include "tensor/storage_pool.h"
 
 namespace armnet::armor {
 
 // Batched inference: raw logits for every row of `dataset`, in row order.
-// Runs in eval mode and restores the model's previous mode. When
-// `pool_stats` is non-null it receives the counters of the tensor pool the
-// inference pass ran under.
+// Runs in eval mode and restores the model's previous mode.
 std::vector<float> PredictLogits(models::TabularModel& model,
                                  const data::Dataset& dataset,
-                                 int64_t batch_size = 1024,
-                                 TensorPoolStats* pool_stats = nullptr);
+                                 int64_t batch_size = 1024);
 
 struct EvalResult {
   double auc = 0;
@@ -41,7 +37,6 @@ struct EvalResult {
   // eval path `tape_nodes_recorded` is exactly 0.
   int64_t tape_nodes_recorded = 0;
   int64_t tape_nodes_elided = 0;
-  TensorPoolStats pool;
 };
 
 // AUC / Logloss / accuracy / RMSE of `model` on `dataset`.

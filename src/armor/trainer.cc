@@ -22,6 +22,10 @@ namespace armnet::armor {
 
 namespace {
 
+// A pre-clip gradient norm above this multiple of the running mean counts
+// as divergence (after a 32-step warmup).
+constexpr double kGradSpikeFactor = 1e4;
+
 // Deep copy of the full model state: parameters plus non-learnable buffers
 // (batch-norm running statistics), so best-epoch restoration is exact.
 struct ModelSnapshot {
@@ -166,14 +170,6 @@ TrainResult Fit(models::TabularModel& model, const data::Splits& splits,
         w.Key("train_nodes_elided").Int(train_nodes_elided);
         w.Key("eval_nodes_recorded").Int(validation.tape_nodes_recorded);
         w.Key("eval_nodes_elided").Int(validation.tape_nodes_elided);
-        w.EndObject();
-        w.Key("eval_pool").BeginObject();
-        w.Key("hits").Int(validation.pool.hits);
-        w.Key("misses").Int(validation.pool.misses);
-        w.Key("returns").Int(validation.pool.returns);
-        w.Key("dropped").Int(validation.pool.dropped);
-        w.Key("bytes_served").Int(validation.pool.bytes_served);
-        w.Key("bytes_pooled").Int(validation.pool.bytes_pooled);
         w.EndObject();
         w.Key("incidents").BeginArray();
         for (size_t i = incidents_reported; i < result.incidents.size();
@@ -328,8 +324,8 @@ TrainResult Fit(models::TabularModel& model, const data::Splits& splits,
                                    static_cast<long long>(steps + 1));
         break;
       }
-      if (config.grad_spike_factor > 0 && norm_count >= 32 &&
-          norm > config.grad_spike_factor *
+      if (norm_count >= 32 &&
+          norm > kGradSpikeFactor *
                      (norm_sum / static_cast<double>(norm_count))) {
         diverged = true;
         diverge_reason = StrFormat(
@@ -387,8 +383,8 @@ TrainResult Fit(models::TabularModel& model, const data::Splits& splits,
     result.epochs_run = epoch + 1;
     const autograd::TapeStats epoch_tape_after = autograd::GetTapeStats();
 
-    // Evaluate runs tape-free under NoGradGuard with pooled storage and
-    // restores the model's training mode on exit (see armor/evaluator.cc).
+    // Evaluate runs tape-free under NoGradGuard and restores the model's
+    // training mode on exit (see armor/evaluator.cc).
     const EvalResult validation =
         Evaluate(model, splits.validation, config.batch_size);
     // Selection metric, oriented so larger is better.
@@ -497,35 +493,32 @@ TrainResult Fit(models::TabularModel& model, const data::Splits& splits,
     }
     if (config.export_feature_space != nullptr) {
       data::FeatureSpace artifact_space = *config.export_feature_space;
-      if (config.export_drift_reference) {
-        // Drift reference (DESIGN.md §15): the restored best-epoch model's
-        // score distribution over the validation split (training split when
-        // no validation rows exist) becomes the serving-time comparison
-        // baseline. Per-field baseline rates stay zero — the vocabulary and
-        // ranges were built from this very data, so nothing is OOV or
-        // out-of-range by construction.
-        const data::Dataset& reference_split =
-            splits.validation.size() > 0 ? splits.validation : splits.train;
-        const std::vector<float> logits =
-            PredictLogits(model, reference_split, config.batch_size);
-        data::DriftReference reference;
-        reference.score_histogram.assign(data::kDriftScoreBins, 0);
-        int64_t counted = 0;
-        for (const float logit : logits) {
-          if (!std::isfinite(logit)) continue;
-          const double p =
-              1.0 / (1.0 + std::exp(-static_cast<double>(logit)));
-          int bin = static_cast<int>(p * data::kDriftScoreBins);
-          bin = std::min(std::max(bin, 0), data::kDriftScoreBins - 1);
-          ++reference.score_histogram[static_cast<size_t>(bin)];
-          ++counted;
-        }
-        if (counted > 0) {
-          artifact_space.set_drift_reference(std::move(reference));
-        } else {
-          incident(
-              "drift reference skipped: no finite reference-split scores");
-        }
+      // Drift reference (DESIGN.md §15): the restored best-epoch model's
+      // score distribution over the validation split (training split when
+      // no validation rows exist) becomes the serving-time comparison
+      // baseline. Per-field baseline rates stay zero — the vocabulary and
+      // ranges were built from this very data, so nothing is OOV or
+      // out-of-range by construction.
+      const data::Dataset& reference_split =
+          splits.validation.size() > 0 ? splits.validation : splits.train;
+      const std::vector<float> logits =
+          PredictLogits(model, reference_split, config.batch_size);
+      data::DriftReference reference;
+      reference.score_histogram.assign(data::kDriftScoreBins, 0);
+      int64_t counted = 0;
+      for (const float logit : logits) {
+        if (!std::isfinite(logit)) continue;
+        const double p = 1.0 / (1.0 + std::exp(-static_cast<double>(logit)));
+        int bin = static_cast<int>(p * data::kDriftScoreBins);
+        bin = std::min(std::max(bin, 0), data::kDriftScoreBins - 1);
+        ++reference.score_histogram[static_cast<size_t>(bin)];
+        ++counted;
+      }
+      if (counted > 0) {
+        artifact_space.set_drift_reference(std::move(reference));
+      } else {
+        incident(
+            "drift reference skipped: no finite reference-split scores");
       }
       const Status saved_space = data::SaveFeatureSpace(
           artifact_space, export_dir + "/serving.artifact");

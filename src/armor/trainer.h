@@ -53,13 +53,10 @@ struct TrainConfig {
   // gradient-norm spike rolls the model and optimizer back to the end of
   // the last good epoch and retries with the learning rate multiplied by
   // `divergence_lr_backoff`. After `max_divergence_retries` rollbacks the
-  // run stops and reports the failure in TrainResult.
+  // run stops and reports the failure in TrainResult. A spike is a pre-clip
+  // gradient norm above 1e4 times the running mean, after a 32-step warmup.
   int max_divergence_retries = 3;
   float divergence_lr_backoff = 0.5f;
-  // A pre-clip gradient norm above `grad_spike_factor` times the running
-  // mean counts as divergence, after a short warmup. 0 disables spike
-  // detection (non-finite losses/gradients are always caught).
-  double grad_spike_factor = 1e4;
   // Wall-clock watchdog: stop training (keeping the best weights and the
   // latest checkpoint) once the run exceeds this many seconds. 0 = off.
   double max_train_seconds = 0;
@@ -67,7 +64,7 @@ struct TrainConfig {
   // --- Observability (see DESIGN.md §10) -------------------------------
   // JSONL file appended with one record per completed epoch: train loss,
   // validation metrics, mean gradient norm, learning rate, epoch wall
-  // time, tape/pool counters, and the incidents raised since the previous
+  // time, tape counters, and the incidents raised since the previous
   // record. Empty derives "<checkpoint_dir>/epochs.jsonl" when checkpoints
   // are on; telemetry is off when both are empty. Write failures disable
   // telemetry for the rest of the run (with an incident) — they never
@@ -85,16 +82,11 @@ struct TrainConfig {
   std::string export_dir;
   // Train-time feature mapping to persist alongside the weights
   // (non-owning; typically filled by LoadCsvWithVocab). Null skips the
-  // artifact.
-  const data::FeatureSpace* export_feature_space = nullptr;
-  // Embed a drift reference in the exported serving artifact (DESIGN.md
+  // artifact. The artifact always embeds a drift reference (DESIGN.md
   // §15): the best-epoch model's score histogram over the validation split
   // plus per-field baseline OOV/clamp rates (zero by construction — the
-  // vocabulary and ranges come from the training data). The prediction
-  // service compares live windows against it; without the reference it
-  // serves with drift monitoring disabled. Ignored when
-  // export_feature_space is null.
-  bool export_drift_reference = true;
+  // vocabulary and ranges come from the training data).
+  const data::FeatureSpace* export_feature_space = nullptr;
 };
 
 struct TrainResult {

@@ -7,20 +7,6 @@
 
 namespace armnet::ag {
 
-// The value-level solvers live in the tensor layer (tensor/entmax.h); these
-// wrappers keep the historical autograd-layer API.
-Tensor SparsemaxLastDimValue(const Tensor& z) {
-  return tmath::SparsemaxLastDim(z);
-}
-
-Tensor Entmax15ExactLastDimValue(const Tensor& z) {
-  return tmath::Entmax15ExactLastDim(z);
-}
-
-Tensor EntmaxLastDimValue(const Tensor& z, float alpha) {
-  return tmath::EntmaxLastDim(z, alpha);
-}
-
 Variable Entmax(const Variable& z, float alpha) {
   Tensor out = tmath::EntmaxLastDim(z.value(), alpha);
   Tensor p = out;

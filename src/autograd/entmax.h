@@ -9,28 +9,18 @@
 //   α-entmax(z) = argmax_{p in simplex} pᵀz + H^T_α(p)
 //
 // α = 1 recovers softmax (dense); α = 2 is sparsemax; larger α is sparser.
-// The forward pass solves for the threshold τ such that
-// p_i = [(α−1)z_i − τ]_+^{1/(α−1)} sums to one:
+// The forward pass (tmath::EntmaxLastDim, tensor/entmax.h) solves for the
+// threshold τ such that p_i = [(α−1)z_i − τ]_+^{1/(α−1)} sums to one:
 //   * α = 1: closed-form softmax,
 //   * α = 2: exact sort-based sparsemax (Martins & Astudillo 2016),
-//   * other α > 1: bisection on τ (50 iterations, then renormalized).
-// An exact sort-based α = 1.5 solver is also exposed; it cross-validates the
-// bisection path in tests.
+//   * α = 1.5: exact sort-based closed form,
+//   * other α > 1: safeguarded Newton on τ, then renormalized.
 //
 // Backward uses the closed-form Jacobian-vector product from the entmax
 // paper: with s_i = p_i^{2−α} on the support (0 elsewhere),
 //   dz = s ⊙ (g − ⟨s, g⟩ / ⟨s, 1⟩).
 
 namespace armnet::ag {
-
-// Tensor-level forward over the last dimension. Requires alpha >= 1.
-Tensor EntmaxLastDimValue(const Tensor& z, float alpha);
-
-// Exact sparsemax (α = 2) over the last dimension.
-Tensor SparsemaxLastDimValue(const Tensor& z);
-
-// Exact α = 1.5 entmax over the last dimension (sort-based closed form).
-Tensor Entmax15ExactLastDimValue(const Tensor& z);
 
 // Differentiable α-entmax over the last dimension.
 Variable Entmax(const Variable& z, float alpha);

@@ -67,12 +67,7 @@ Status PredictTable(PredictionService& service, const std::string& csv_path,
       InFlight entry;
       entry.row = static_cast<int64_t>(next) + 1;
       entry.cells = &cells;
-      if (options.drop_label_column && !cells.empty()) {
-        std::vector<std::string> trimmed(cells.begin() + 1, cells.end());
-        entry.ticket = service.Submit(trimmed, options.deadline_seconds);
-      } else {
-        entry.ticket = service.Submit(cells, options.deadline_seconds);
-      }
+      entry.ticket = service.Submit(cells, options.deadline_seconds);
       ++report->rows_submitted;
       wave.push_back(std::move(entry));
       ++next;

@@ -36,9 +36,6 @@ struct PredictTableOptions {
   int64_t max_error_messages = 20;
   char delim = ',';
   bool has_header = true;
-  // Training-style CSVs carry the label in column 0; set this to drop it
-  // before mapping (the label never reaches the service).
-  bool drop_label_column = false;
   // Per-row deadline handed to Submit; < 0 uses the service default.
   double deadline_seconds = -1;
   // Rows in flight at once. Keep at or below the service queue capacity or

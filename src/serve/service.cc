@@ -469,7 +469,7 @@ void PredictionService::ProcessBatch(
   if (stall > 0) clock_->Advance(stall);
 
   if (!breaker_.AllowRequest()) {
-    Degrade(batch, shard, "circuit breaker open");
+    Degrade(batch, shard);
     // Drift still observes the drained inputs (no scores: no primary
     // forward ran) — an OOV flood during a breaker-open spell must not be
     // invisible.
@@ -494,7 +494,7 @@ void PredictionService::ProcessBatch(
     }
     breaker_.RecordFailure();
     RecordIncident("primary model produced non-finite logits");
-    Degrade(batch, shard, "primary model produced non-finite logits");
+    Degrade(batch, shard);
     ObserveDrift(shard_index, batch, nullptr);
     HandleDriftEvents(shard_index);
     return;
@@ -541,10 +541,9 @@ bool PredictionService::ForwardBatch(models::TabularModel& model,
                                      std::vector<float>* logits) {
   // The model is in eval mode for the service's lifetime and the caller
   // holds an RCU reader reference (reloads stage only into reader-free
-  // slots), so the tape-free, pooled forward is a pure read — safe
-  // concurrently from every worker.
+  // slots), so the tape-free forward is a pure read — safe concurrently
+  // from every worker.
   NoGradGuard no_grad;
-  ScopedTensorPool scoped_pool(pool_);
   Rng rng(0);  // eval mode uses no randomness
   Variable out = model.Forward(b, rng);
   const Tensor& values = out.value();
@@ -562,7 +561,7 @@ bool PredictionService::ForwardBatch(models::TabularModel& model,
 
 void PredictionService::Degrade(
     const std::vector<std::shared_ptr<PendingPrediction>>& batch,
-    CounterShard& shard, const std::string& why) {
+    CounterShard& shard) {
   if (fallback_ != nullptr) {
     const data::Batch b = AssembleBatch(batch);
     std::vector<float> logits;
@@ -581,23 +580,13 @@ void PredictionService::Degrade(
     }
     RecordIncident("fallback model produced non-finite logits");
   }
-  if (options_.degrade_to_prior) {
-    const float logit = PriorLogit(space_.train_positive_rate());
-    {
-      MutexLock guard(shard.mutex);
-      shard.counters.degraded_prior += static_cast<int64_t>(batch.size());
-    }
-    for (const auto& pending : batch) {
-      CompleteOk(*pending, logit, /*degraded=*/true);
-    }
-    return;
-  }
+  const float logit = PriorLogit(space_.train_positive_rate());
   {
     MutexLock guard(shard.mutex);
-    shard.counters.failed += static_cast<int64_t>(batch.size());
+    shard.counters.degraded_prior += static_cast<int64_t>(batch.size());
   }
   for (const auto& pending : batch) {
-    CompleteTerminal(*pending, ServeCode::kUnavailable, why);
+    CompleteOk(*pending, logit, /*degraded=*/true);
   }
 }
 

@@ -17,7 +17,6 @@
 #include "serve/circuit_breaker.h"
 #include "serve/drift_monitor.h"
 #include "serve/shadow.h"
-#include "tensor/storage_pool.h"
 #include "util/clock.h"
 #include "util/status.h"
 #include "util/sync.h"
@@ -43,11 +42,11 @@ namespace armnet::serve {
 //   forward    N worker threads (ServeOptions::num_workers) drain the queue
 //              concurrently; batch accumulation adapts to the measured p99
 //              against ServeOptions::latency_budget_seconds (see
-//              serve/batch_policy.h); the forward runs NoGradGuard + pooled
-//              under the breaker, non-finite logits count as failures
+//              serve/batch_policy.h); the forward runs under NoGradGuard
+//              and the breaker, non-finite logits count as failures
 //   degrade    when the breaker is open or the forward failed: fallback
-//              model if configured, else the train-prior logit, else
-//              kUnavailable — a typed answer in every case
+//              model if configured, else the train-prior logit — a typed
+//              answer in every case
 //
 // Weights hot-reload through the CRC-framed envelope. With a warm standby
 // configured, `ReloadModel` stages `LoadState` into the idle model copy off
@@ -110,7 +109,7 @@ enum class ServeCode {
   kInvalidArgument,   // malformed request (arity, unparsable numeric cell)
   kOverloaded,        // admission control: queue at capacity, or shed
   kDeadlineExceeded,  // deadline passed before the forward ran
-  kUnavailable,       // no model, fallback, or prior could answer
+  kUnavailable,       // the service shut down before answering
 };
 
 const char* ServeCodeName(ServeCode code);
@@ -186,11 +185,9 @@ struct ServeOptions {
   // capacity and true again only after it drains to this level, so
   // readiness cannot flap at exactly queue_capacity. -1 = capacity / 2.
   int64_t ready_low_watermark = -1;
+  // Breaker-open and non-finite batches degrade to the fallback model, or
+  // to the train-prior logit when none is configured.
   CircuitBreaker::Options breaker;
-  // Degrade to the train-prior logit when no fallback model is configured.
-  // With this false and no fallback, breaker-open requests get
-  // kUnavailable.
-  bool degrade_to_prior = true;
   // When false no worker thread runs; tests call DrainOnce() to process the
   // queue deterministically.
   bool start_worker = true;
@@ -212,7 +209,7 @@ struct ServeCounters {
   int64_t completed_ok = 0;
   int64_t degraded_fallback = 0;
   int64_t degraded_prior = 0;
-  int64_t failed = 0;  // kUnavailable terminals (incl. shutdown flush)
+  int64_t failed = 0;  // kUnavailable terminals (shutdown)
   // Non-terminal observability counters.
   int64_t oov_fields = 0;
   int64_t clamped_fields = 0;
@@ -387,15 +384,16 @@ class PredictionService {
   data::Batch AssembleBatch(
       const std::vector<std::shared_ptr<PendingPrediction>>& batch) const;
   // Forwards the assembled batch through `model`; returns false if any
-  // logit came back non-finite. Runs interpreted under NoGradGuard with
-  // the service's TensorPool. The caller must hold a reader reference on
-  // the slot `model` came from (or, for the fallback and shadow, rely on
-  // it never being mutated concurrently).
+  // logit came back non-finite. Runs interpreted under NoGradGuard. The
+  // caller must hold a reader reference on the slot `model` came from (or,
+  // for the fallback and shadow, rely on it never being mutated
+  // concurrently).
   bool ForwardBatch(models::TabularModel& model,
                     const data::Batch& b, std::vector<float>* logits);
+  // Answers `batch` from the fallback model, or with the train-prior logit
+  // when there is none (or it too produced non-finite logits).
   void Degrade(const std::vector<std::shared_ptr<PendingPrediction>>& batch,
-               CounterShard& shard, const std::string& why)
-      ARMNET_EXCLUDES(model_mutex_);
+               CounterShard& shard) ARMNET_EXCLUDES(model_mutex_);
   void CompleteOk(PendingPrediction& pending, float logit, bool degraded);
   void CompleteTerminal(PendingPrediction& pending, ServeCode code,
                         std::string message);
@@ -459,8 +457,6 @@ class PredictionService {
   int64_t slot_readers_[2] ARMNET_GUARDED_BY(model_mutex_) = {0, 0};
   // True while RunQuiesced drains and blocks readers.
   bool quiescing_ ARMNET_GUARDED_BY(model_mutex_) = false;
-
-  TensorPool pool_;  // internally synchronized
 
   Mutex queue_mutex_;
   CondVar queue_cv_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tensor/storage_pool.h"
 #include "util/string_util.h"
 
 namespace armnet {
@@ -12,8 +11,8 @@ Tensor::Tensor(Shape shape) : shape_(std::move(shape)) {
   for (int64_t d : shape_.dims()) {
     ARMNET_CHECK_GE(d, 0) << "cannot allocate shape " << shape_.ToString();
   }
-  storage_ = tensor_internal::AllocateStorage(
-      static_cast<size_t>(shape_.numel()), /*zero=*/true);
+  storage_ = std::make_shared<std::vector<float>>(
+      static_cast<size_t>(shape_.numel()), 0.0f);
 }
 
 Tensor Tensor::Full(Shape shape, float value) {
@@ -80,10 +79,9 @@ Tensor Tensor::Reshape(Shape shape) const {
 
 Tensor Tensor::Clone() const {
   if (!defined()) return Tensor();
-  const size_t n = static_cast<size_t>(numel());
   Tensor copy;
-  copy.storage_ = tensor_internal::AllocateStorage(n, /*zero=*/false);
-  std::copy(data(), data() + n, copy.storage_->begin());
+  copy.storage_ =
+      std::make_shared<std::vector<float>>(data(), data() + numel());
   copy.shape_ = shape_;
   return copy;
 }

@@ -26,8 +26,6 @@ class Tensor {
   Tensor() = default;
 
   // Zero-filled tensor of the given shape (all dims must be concrete).
-  // Storage comes from the current thread's TensorPool when one is active
-  // (see tensor/storage_pool.h), otherwise from the heap.
   explicit Tensor(Shape shape);
 
   // --- Factories ---------------------------------------------------------

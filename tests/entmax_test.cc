@@ -18,6 +18,7 @@
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
 #include "tensor/backend.h"
+#include "tensor/entmax.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
@@ -39,7 +40,7 @@ class EntmaxPropertyTest : public ::testing::TestWithParam<int> {
 TEST_P(EntmaxPropertyTest, OutputsLieOnSimplex) {
   Rng rng(31);
   Tensor z = Tensor::Normal(Shape({16, 9}), 0, 2, rng);
-  Tensor p = ag::EntmaxLastDimValue(z, alpha());
+  Tensor p = tmath::EntmaxLastDim(z, alpha());
   for (int r = 0; r < 16; ++r) {
     double total = 0;
     for (int j = 0; j < 9; ++j) {
@@ -55,7 +56,7 @@ TEST_P(EntmaxPropertyTest, OutputsLieOnSimplex) {
 TEST_P(EntmaxPropertyTest, PreservesRanking) {
   Rng rng(32);
   Tensor z = Tensor::Normal(Shape({8, 7}), 0, 2, rng);
-  Tensor p = ag::EntmaxLastDimValue(z, alpha());
+  Tensor p = tmath::EntmaxLastDim(z, alpha());
   for (int r = 0; r < 8; ++r) {
     for (int i = 0; i < 7; ++i) {
       for (int j = 0; j < 7; ++j) {
@@ -71,8 +72,8 @@ TEST_P(EntmaxPropertyTest, ShiftInvariant) {
   Rng rng(33);
   Tensor z = Tensor::Normal(Shape({4, 6}), 0, 1, rng);
   Tensor shifted = tmath::AddScalar(z, 5.0f);
-  Tensor p1 = ag::EntmaxLastDimValue(z, alpha());
-  Tensor p2 = ag::EntmaxLastDimValue(shifted, alpha());
+  Tensor p1 = tmath::EntmaxLastDim(z, alpha());
+  Tensor p2 = tmath::EntmaxLastDim(shifted, alpha());
   EXPECT_TRUE(p1.AllClose(p2, 2e-3f));
 }
 
@@ -82,8 +83,8 @@ TEST_P(EntmaxPropertyTest, PermutationEquivariant) {
   // Reverse the coordinates.
   Tensor reversed(Shape({1, 6}));
   for (int j = 0; j < 6; ++j) reversed[j] = z[5 - j];
-  Tensor p = ag::EntmaxLastDimValue(z, alpha());
-  Tensor p_rev = ag::EntmaxLastDimValue(reversed, alpha());
+  Tensor p = tmath::EntmaxLastDim(z, alpha());
+  Tensor p_rev = tmath::EntmaxLastDim(reversed, alpha());
   for (int j = 0; j < 6; ++j) {
     EXPECT_NEAR(p[j], p_rev[5 - j], 2e-4);
   }
@@ -91,7 +92,7 @@ TEST_P(EntmaxPropertyTest, PermutationEquivariant) {
 
 TEST_P(EntmaxPropertyTest, UniformInputGivesUniformOutput) {
   Tensor z = Tensor::Full(Shape({1, 5}), 1.3f);
-  Tensor p = ag::EntmaxLastDimValue(z, alpha());
+  Tensor p = tmath::EntmaxLastDim(z, alpha());
   for (int j = 0; j < 5; ++j) EXPECT_NEAR(p[j], 0.2f, 1e-4);
 }
 
@@ -118,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(Alphas, EntmaxPropertyTest,
 TEST(EntmaxTest, AlphaOneIsSoftmax) {
   Rng rng(36);
   Tensor z = Tensor::Normal(Shape({5, 8}), 0, 2, rng);
-  EXPECT_TRUE(ag::EntmaxLastDimValue(z, 1.0f)
+  EXPECT_TRUE(tmath::EntmaxLastDim(z, 1.0f)
                   .AllClose(tmath::SoftmaxLastDim(z), 1e-6f));
 }
 
@@ -127,12 +128,12 @@ TEST(EntmaxTest, SparsityIncreasesWithAlpha) {
   Tensor z = Tensor::Normal(Shape({32, 10}), 0, 2, rng);
   int previous_zeros = -1;
   for (float alpha : {1.0f, 1.5f, 2.0f, 3.0f}) {
-    const int zeros = CountZeros(ag::EntmaxLastDimValue(z, alpha));
+    const int zeros = CountZeros(tmath::EntmaxLastDim(z, alpha));
     EXPECT_GE(zeros, previous_zeros);
     previous_zeros = zeros;
   }
-  EXPECT_EQ(CountZeros(ag::EntmaxLastDimValue(z, 1.0f)), 0);
-  EXPECT_GT(CountZeros(ag::EntmaxLastDimValue(z, 2.0f)), 0);
+  EXPECT_EQ(CountZeros(tmath::EntmaxLastDim(z, 1.0f)), 0);
+  EXPECT_GT(CountZeros(tmath::EntmaxLastDim(z, 2.0f)), 0);
 }
 
 TEST(EntmaxTest, SparsemaxMatchesQuadraticProgramBruteForce) {
@@ -140,7 +141,7 @@ TEST(EntmaxTest, SparsemaxMatchesQuadraticProgramBruteForce) {
   // p1 = clamp(0.5 + (z1 - z2)/2, 0, 1).
   for (float delta : {-3.0f, -0.6f, 0.0f, 0.4f, 2.5f}) {
     Tensor z = Tensor::FromVector(Shape({1, 2}), {delta, 0.0f});
-    Tensor p = ag::SparsemaxLastDimValue(z);
+    Tensor p = tmath::SparsemaxLastDim(z);
     const float expected = std::clamp(0.5f + delta / 2.0f, 0.0f, 1.0f);
     EXPECT_NEAR(p[0], expected, 1e-5) << "delta=" << delta;
     EXPECT_NEAR(p[1], 1.0f - expected, 1e-5);
@@ -151,25 +152,25 @@ TEST(EntmaxTest, BisectionMatchesExactSolvers) {
   Rng rng(38);
   Tensor z = Tensor::Normal(Shape({64, 11}), 0, 3, rng);
   // alpha just off 1.5/2.0 routes through the bisection path.
-  Tensor b15 = ag::EntmaxLastDimValue(z, 1.5f + 1e-6f);
-  Tensor e15 = ag::Entmax15ExactLastDimValue(z);
+  Tensor b15 = tmath::EntmaxLastDim(z, 1.5f + 1e-6f);
+  Tensor e15 = tmath::Entmax15ExactLastDim(z);
   EXPECT_TRUE(b15.AllClose(e15, 5e-4f));
 
-  Tensor b20 = ag::EntmaxLastDimValue(z, 2.0f + 1e-6f);
-  Tensor e20 = ag::SparsemaxLastDimValue(z);
+  Tensor b20 = tmath::EntmaxLastDim(z, 2.0f + 1e-6f);
+  Tensor e20 = tmath::SparsemaxLastDim(z);
   EXPECT_TRUE(b20.AllClose(e20, 5e-4f));
 }
 
 TEST(EntmaxTest, LargeAlphaApproachesArgmax) {
   Tensor z = Tensor::FromVector(Shape({1, 4}), {0.1f, 2.0f, 0.3f, 0.2f});
-  Tensor p = ag::EntmaxLastDimValue(z, 3.0f);
+  Tensor p = tmath::EntmaxLastDim(z, 3.0f);
   EXPECT_GT(p[1], 0.95f);
 }
 
 TEST(EntmaxTest, WinnerTakesAllWhenGapIsLarge) {
   Tensor z = Tensor::FromVector(Shape({1, 3}), {10.0f, 0.0f, -5.0f});
   for (float alpha : {1.5f, 1.7f, 2.0f}) {
-    Tensor p = ag::EntmaxLastDimValue(z, alpha);
+    Tensor p = tmath::EntmaxLastDim(z, alpha);
     EXPECT_NEAR(p[0], 1.0f, 1e-4) << "alpha=" << alpha;
     EXPECT_NEAR(p[1], 0.0f, 1e-4);
   }
@@ -193,7 +194,7 @@ TEST(EntmaxTest, HandlesWideRowsAndSingletons) {
   for (int64_t d : {1, 43, 100}) {
     Tensor z = Tensor::Normal(Shape({4, d}), 0, 2, rng);
     for (float alpha : {1.0f, 1.5f, 1.7f, 2.0f}) {
-      Tensor p = ag::EntmaxLastDimValue(z, alpha);
+      Tensor p = tmath::EntmaxLastDim(z, alpha);
       for (int r = 0; r < 4; ++r) {
         double total = 0;
         for (int64_t j = 0; j < d; ++j) total += p.at({r, j});
@@ -203,13 +204,13 @@ TEST(EntmaxTest, HandlesWideRowsAndSingletons) {
   }
   // A single-element row always maps to probability 1.
   Tensor one = Tensor::FromVector(Shape({1, 1}), {-7.5f});
-  EXPECT_NEAR(ag::EntmaxLastDimValue(one, 1.7f)[0], 1.0f, 1e-6);
+  EXPECT_NEAR(tmath::EntmaxLastDim(one, 1.7f)[0], 1.0f, 1e-6);
 }
 
 TEST(EntmaxTest, BatchedShapePreserved) {
   Rng rng(40);
   Tensor z = Tensor::Normal(Shape({2, 3, 4, 5}), 0, 1, rng);
-  Tensor p = ag::EntmaxLastDimValue(z, 1.5f);
+  Tensor p = tmath::EntmaxLastDim(z, 1.5f);
   EXPECT_EQ(p.shape(), z.shape());
 }
 
@@ -444,7 +445,7 @@ TEST_F(EntmaxBackendTest, NonFiniteRowsBecomeNaNRowsOnEveryPath) {
   for (Backend backend : AvailableBackends()) {
     SetBackend(backend);
     for (float alpha : {1.0f, 1.5f, 1.7f, 2.0f, 2.5f}) {
-      const Tensor p = ag::EntmaxLastDimValue(z, alpha);
+      const Tensor p = tmath::EntmaxLastDim(z, alpha);
       for (int64_t r = 0; r < kRows; ++r) {
         if (is_poisoned(r)) {
           for (int64_t j = 0; j < kD; ++j) {
@@ -454,7 +455,7 @@ TEST_F(EntmaxBackendTest, NonFiniteRowsBecomeNaNRowsOnEveryPath) {
           continue;
         }
         const Tensor alone =
-            ag::EntmaxLastDimValue(tmath::Slice(z, 0, r, 1), alpha);
+            tmath::EntmaxLastDim(tmath::Slice(z, 0, r, 1), alpha);
         EXPECT_EQ(std::memcmp(alone.data(), p.data() + r * kD,
                               sizeof(float) * kD),
                   0)

@@ -1,7 +1,6 @@
 // Tests for the execution-mode layer (DESIGN.md §9): thread-local grad
-// mode with RAII guards, the tape-free inference path, Detach, the pooled
-// storage allocator, and the bit-identical-eval + zero-tape-nodes
-// invariants of the armor evaluator.
+// mode with RAII guards, the tape-free inference path, Detach, and the
+// bit-identical-eval + zero-tape-nodes invariants of the armor evaluator.
 
 #include <atomic>
 #include <thread>
@@ -16,7 +15,6 @@
 #include "data/batcher.h"
 #include "data/synthetic.h"
 #include "nn/module.h"
-#include "tensor/storage_pool.h"
 
 namespace armnet {
 namespace {
@@ -165,121 +163,6 @@ TEST(TrainingModeGuardTest, RestoresPriorModeRecursively) {
   EXPECT_FALSE(model.training());
 }
 
-// --- Storage pool ---------------------------------------------------------
-
-TEST(TensorPoolTest, RecyclesBuffersAndCounts) {
-  TensorPool pool;
-  ScopedTensorPool scoped(pool);
-  {
-    Tensor t{Shape({100})};
-    EXPECT_EQ(t.numel(), 100);
-  }  // buffer returns to the pool
-  TensorPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.returns, 1);
-  EXPECT_GT(stats.bytes_pooled, 0);
-
-  {
-    Tensor t{Shape({100})};  // same bucket: served from the free list
-    EXPECT_EQ(t.numel(), 100);
-  }
-  stats = pool.stats();
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.returns, 2);
-}
-
-TEST(TensorPoolTest, BucketsShareNearbySizes) {
-  TensorPool pool;
-  ScopedTensorPool scoped(pool);
-  { Tensor t{Shape({120})}; }
-  // 100 and 120 both round up to the 128-float bucket.
-  { Tensor t{Shape({100})}; }
-  EXPECT_EQ(pool.stats().hits, 1);
-}
-
-TEST(TensorPoolTest, RecycledBuffersAreZeroFilled) {
-  TensorPool pool;
-  ScopedTensorPool scoped(pool);
-  {
-    Tensor t{Shape({16})};
-    t.Fill(42.0f);
-  }
-  Tensor t{Shape({16})};
-  ASSERT_EQ(pool.stats().hits, 1) << "expected a recycled buffer";
-  for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0f);
-}
-
-TEST(TensorPoolTest, CloneThroughPoolIsExact) {
-  TensorPool pool;
-  ScopedTensorPool scoped(pool);
-  Rng rng(6);
-  Tensor src = Tensor::Normal(Shape({33}), 0, 1, rng);
-  { Tensor scratch{Shape({33})}; }  // seed the bucket with a dirty buffer
-  Tensor copy = src.Clone();
-  EXPECT_NE(copy.data(), src.data());
-  for (int64_t i = 0; i < src.numel(); ++i) EXPECT_EQ(copy[i], src[i]);
-}
-
-TEST(TensorPoolTest, InactiveWithoutScope) {
-  TensorPool pool;
-  { Tensor t{Shape({8})}; }  // no scope installed: heap allocation
-  const TensorPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 0);
-}
-
-TEST(TensorPoolTest, ScopesNest) {
-  TensorPool outer;
-  TensorPool inner;
-  ScopedTensorPool outer_scope(outer);
-  {
-    ScopedTensorPool inner_scope(inner);
-    Tensor t{Shape({8})};
-  }
-  { Tensor t{Shape({8})}; }
-  EXPECT_EQ(inner.stats().misses, 1);
-  EXPECT_EQ(outer.stats().misses, 1);
-}
-
-TEST(TensorPoolTest, EscapedTensorSurvivesPoolDestruction) {
-  Tensor escaped;
-  {
-    TensorPool pool;
-    ScopedTensorPool scoped(pool);
-    escaped = Tensor::Full(Shape({32}), 7.0f);
-  }  // pool destroyed while `escaped` still holds a pooled buffer
-  for (int64_t i = 0; i < escaped.numel(); ++i) EXPECT_EQ(escaped[i], 7.0f);
-}
-
-TEST(TensorPoolTest, ConcurrentParallelForWorkersHammerOnePool) {
-  // TSan-preset stress: many workers allocate, fill, and release tensors of
-  // colliding bucket sizes through one shared pool.
-  TensorPool pool;
-  constexpr int kWorkers = 4;
-  constexpr int64_t kTasks = 256;
-  std::atomic<int64_t> checked{0};
-  std::vector<std::thread> workers;
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&, w] {
-      ScopedTensorPool scoped(pool);
-      for (int64_t i = w; i < kTasks; i += kWorkers) {
-        const int64_t n = 16 + (i % 7) * 16;
-        Tensor t{Shape({n})};
-        t.Fill(static_cast<float>(i));
-        Tensor copy = t.Clone();
-        if (copy[0] == static_cast<float>(i)) {
-          checked.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  EXPECT_EQ(checked.load(), kTasks);
-  const TensorPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 2 * kTasks);
-}
-
 // --- End-to-end evaluator invariants --------------------------------------
 
 data::SyntheticDataset SmallDataset() {
@@ -304,7 +187,7 @@ TEST(ExecutionModeTest, EvalOutputsBitIdenticalWithAndWithoutGuards) {
   core::ArmNet model(synthetic.dataset.schema().num_features(),
                      synthetic.dataset.num_fields(), config, rng);
 
-  // Reference pass: plain taped eval, no guard, no pool.
+  // Reference pass: plain taped eval, no guard.
   model.SetTraining(false);
   std::vector<float> reference;
   {
@@ -320,7 +203,7 @@ TEST(ExecutionModeTest, EvalOutputsBitIdenticalWithAndWithoutGuards) {
   }
   model.SetTraining(true);
 
-  // Refactored pass: PredictLogits (NoGradGuard + TensorPool inside).
+  // Refactored pass: PredictLogits (NoGradGuard inside).
   const std::vector<float> guarded =
       armor::PredictLogits(model, synthetic.dataset, 64);
 

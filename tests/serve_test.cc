@@ -273,17 +273,40 @@ TEST(AdaptiveBatchPolicyTest, CollapsesToZeroUnderPressure) {
 
 // --- Prediction service ------------------------------------------------------
 
+// A small instance of the paper's model for the serving tests.
+core::ArmNetConfig SmallArmNetConfig() {
+  core::ArmNetConfig config;
+  config.embed_dim = 4;
+  config.num_heads = 2;
+  config.neurons_per_head = 4;
+  config.hidden = {8};
+  return config;
+}
+
+enum class ModelKind { kLr, kArmNet };
+
+const char* ModelKindName(ModelKind kind) {
+  return kind == ModelKind::kLr ? "lr" : "armnet";
+}
+
 struct ServiceFixture {
   data::Dataset dataset;
   FeatureSpace space;
   Rng rng{7};
-  std::unique_ptr<models::Lr> model;
+  std::unique_ptr<models::TabularModel> model;
   VirtualClock clock;
 
-  explicit ServiceFixture(const std::string& tag) {
+  explicit ServiceFixture(const std::string& tag,
+                          ModelKind kind = ModelKind::kLr) {
     BuildSpace(tag, &dataset, &space);
-    model = std::make_unique<models::Lr>(space.schema().num_features(), rng);
-    FillParams(*model, 0.0f);  // logit 0 for every row: finite, predictable
+    if (kind == ModelKind::kLr) {
+      model = std::make_unique<models::Lr>(space.schema().num_features(), rng);
+    } else {
+      model = std::make_unique<core::ArmNet>(space.schema().num_features(),
+                                             space.num_fields(),
+                                             SmallArmNetConfig(), rng);
+    }
+    FillParams(*model, 0.0f);  // finite, input-independent logits
   }
 
   ServeOptions ManualOptions() const {
@@ -383,58 +406,68 @@ TEST(PredictionServiceTest, MicroBatchesRespectMaxBatchSize) {
   EXPECT_EQ(service.counters().batches, 3);
 }
 
+// The breaker cases run on both the baseline and the paper's ARM-Net: a
+// NaN-poisoned ARM-Net must degrade and trip the breaker, never abort.
 TEST(PredictionServiceTest, DegradesToPriorOnNonFiniteLogits) {
-  ServiceFixture fx("svc_prior");
-  ServeOptions options = fx.ManualOptions();
-  options.breaker.open_after = 1;
-  PredictionService service(fx.model.get(), fx.space, options, &fx.clock);
-  PoisonParams(*fx.model);
+  for (const ModelKind kind : {ModelKind::kLr, ModelKind::kArmNet}) {
+    SCOPED_TRACE(ModelKindName(kind));
+    ServiceFixture fx(std::string("svc_prior_") + ModelKindName(kind), kind);
+    ServeOptions options = fx.ManualOptions();
+    options.breaker.open_after = 1;
+    PredictionService service(fx.model.get(), fx.space, options, &fx.clock);
+    PoisonParams(*fx.model);
 
-  auto ticket = service.Submit({"sf", "15"});
-  EXPECT_EQ(service.DrainOnce(), 1);
-  const PredictResult& result = ticket->Wait();
-  EXPECT_EQ(result.code, ServeCode::kOk);
-  EXPECT_TRUE(result.degraded);
-  // Prior logit: log(p / (1-p)) with p = 2/3.
-  EXPECT_NEAR(result.logit, std::log(2.0), 1e-5);
-  EXPECT_TRUE(std::isfinite(result.probability));
+    auto ticket = service.Submit({"sf", "15"});
+    EXPECT_EQ(service.DrainOnce(), 1);
+    const PredictResult& result = ticket->Wait();
+    EXPECT_EQ(result.code, ServeCode::kOk);
+    EXPECT_TRUE(result.degraded);
+    // Prior logit: log(p / (1-p)) with p = 2/3.
+    EXPECT_NEAR(result.logit, std::log(2.0), 1e-5);
+    EXPECT_TRUE(std::isfinite(result.probability));
 
-  EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(service.Ready());
-  EXPECT_EQ(service.counters().degraded_prior, 1);
-  EXPECT_FALSE(service.incidents().empty());
+    EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kOpen);
+    EXPECT_FALSE(service.Ready());
+    EXPECT_EQ(service.counters().degraded_prior, 1);
+    EXPECT_FALSE(service.incidents().empty());
+  }
 }
 
 TEST(PredictionServiceTest, BreakerOpenSkipsModelThenRecovers) {
-  ServiceFixture fx("svc_breaker");
-  ServeOptions options = fx.ManualOptions();
-  options.breaker.open_after = 1;
-  options.breaker.cooldown_seconds = 1.0;
-  PredictionService service(fx.model.get(), fx.space, options, &fx.clock);
-  PoisonParams(*fx.model);
+  for (const ModelKind kind : {ModelKind::kLr, ModelKind::kArmNet}) {
+    SCOPED_TRACE(ModelKindName(kind));
+    ServiceFixture fx(std::string("svc_breaker_") + ModelKindName(kind),
+                      kind);
+    ServeOptions options = fx.ManualOptions();
+    options.breaker.open_after = 1;
+    options.breaker.cooldown_seconds = 1.0;
+    PredictionService service(fx.model.get(), fx.space, options, &fx.clock);
+    PoisonParams(*fx.model);
 
-  // First request trips the breaker (one forward attempt).
-  service.Submit({"sf", "15"});
-  service.DrainOnce();
-  EXPECT_EQ(service.counters().batches, 1);
-  EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kOpen);
+    // First request trips the breaker (one forward attempt).
+    service.Submit({"sf", "15"});
+    service.DrainOnce();
+    EXPECT_EQ(service.counters().batches, 1);
+    EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kOpen);
 
-  // While open, requests degrade without touching the model.
-  auto shielded = service.Submit({"nyc", "20"});
-  service.DrainOnce();
-  EXPECT_EQ(shielded->Wait().code, ServeCode::kOk);
-  EXPECT_TRUE(shielded->Wait().degraded);
-  EXPECT_EQ(service.counters().batches, 1);  // unchanged
+    // While open, requests degrade without touching the model.
+    auto shielded = service.Submit({"nyc", "20"});
+    service.DrainOnce();
+    EXPECT_EQ(shielded->Wait().code, ServeCode::kOk);
+    EXPECT_TRUE(shielded->Wait().degraded);
+    EXPECT_EQ(service.counters().batches, 1);  // unchanged
 
-  // Cooldown elapses; the model is healthy again; the probe closes it.
-  fx.clock.Advance(1.5);
-  FillParams(*fx.model, 0.0f);
-  auto probe = service.Submit({"sf", "15"});
-  service.DrainOnce();
-  EXPECT_EQ(probe->Wait().code, ServeCode::kOk);
-  EXPECT_FALSE(probe->Wait().degraded);
-  EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(service.counters().Terminal(), service.counters().submitted);
+    // Cooldown elapses; the model is healthy again; the probe closes it.
+    fx.clock.Advance(1.5);
+    FillParams(*fx.model, 0.0f);
+    auto probe = service.Submit({"sf", "15"});
+    service.DrainOnce();
+    EXPECT_EQ(probe->Wait().code, ServeCode::kOk);
+    EXPECT_FALSE(probe->Wait().degraded);
+    EXPECT_TRUE(std::isfinite(probe->Wait().logit));
+    EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kClosed);
+    EXPECT_EQ(service.counters().Terminal(), service.counters().submitted);
+  }
 }
 
 TEST(PredictionServiceTest, FallbackModelServesWhenPrimaryFails) {
@@ -720,13 +753,8 @@ TEST(PredictionServiceTest, MultiWorkerArmNetMatchesOfflineLogits) {
   FeatureSpace space;
   BuildSpace("svc_armnet", &dataset, &space);
   Rng rng(11);
-  core::ArmNetConfig config;
-  config.embed_dim = 4;
-  config.num_heads = 2;
-  config.neurons_per_head = 4;
-  config.hidden = {8};
   core::ArmNet model(space.schema().num_features(), space.num_fields(),
-                     config, rng);
+                     SmallArmNetConfig(), rng);
 
   // Seen and unseen cities, in-range and clamped temperatures.
   const std::vector<std::vector<std::string>> rows = {

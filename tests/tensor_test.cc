@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "tensor/kernels.h"
-#include "tensor/storage_pool.h"
 
 namespace armnet {
 namespace {
@@ -44,6 +43,8 @@ TEST(TensorTest, FactoriesAndAccess) {
   Tensor z = Tensor::Zeros(Shape({2, 2}));
   EXPECT_EQ(z.numel(), 4);
   EXPECT_FLOAT_EQ(z[0], 0.0f);
+  const Tensor fresh{Shape({3, 5})};
+  for (int64_t i = 0; i < fresh.numel(); ++i) EXPECT_EQ(fresh[i], 0.0f);
 
   Tensor f = Tensor::Full(Shape({3}), 2.5f);
   EXPECT_FLOAT_EQ(f[2], 2.5f);
@@ -71,6 +72,14 @@ TEST(TensorTest, CloneIsIndependent) {
   Tensor b = a.Clone();
   b[0] = 9.0f;
   EXPECT_FLOAT_EQ(a[0], 1.0f);
+
+  // Bit-exact on arbitrary data, in fresh storage.
+  Rng rng(6);
+  const Tensor src = Tensor::Normal(Shape({3, 11}), 0, 1, rng);
+  const Tensor copy = src.Clone();
+  EXPECT_EQ(copy.shape(), src.shape());
+  EXPECT_NE(copy.data(), src.data());
+  for (int64_t i = 0; i < src.numel(); ++i) EXPECT_EQ(copy[i], src[i]);
 }
 
 TEST(TensorTest, RandomFactoriesDeterministic) {
@@ -328,29 +337,6 @@ TEST(BackendTest, NamesAndSwitch) {
   SetBackend(Backend::kScalar);
   EXPECT_EQ(GetBackend(), Backend::kScalar);
   SetBackend(original);
-}
-
-// Tensor(Shape) promises zeros no matter where the buffer came from,
-// including a recycled pool buffer that still holds its previous tenant.
-TEST(StoragePoolTest, RecycledBufferZeroingContracts) {
-  TensorPool pool;
-  ScopedTensorPool scoped(pool);
-  const float* recycled = nullptr;
-  {
-    Tensor t(Shape({8}));
-    t.Fill(3.5f);
-    recycled = t.data();
-  }  // storage returns to the pool's free list
-
-  // A pool hit hands back the recycled buffer, and the stale 3.5s must have
-  // been wiped.
-  {
-    Tensor t(Shape({8}));
-    ASSERT_EQ(t.data(), recycled);
-    for (int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0f);
-  }
-  EXPECT_EQ(pool.stats().hits, 1);
-  EXPECT_EQ(pool.stats().misses, 1);
 }
 
 }  // namespace
